@@ -5,9 +5,9 @@ Usage::
     python3 perfbench/compare.py PARENT.jsonl CHANGE.jsonl
 
 Each file holds the records ``run.py --out`` appended (one per run).
-For every workload and end-to-end metric — those BENCHMARK.json gates plus
-``accuracy_pct`` and the update latencies — it prints both sides'
-median and quartiles and a verdict:
+For every workload and every end-to-end metric BENCHMARK.json gates, it
+prints both sides' median and quartiles and a verdict, judged against
+that metric's ``bound`` in BENCHMARK.json:
 
 ``improved``
     the change won at least 9 in 10 of the seed-paired runs (ties count
@@ -23,6 +23,8 @@ median and quartiles and a verdict:
 ``unchanged``
     otherwise.
 
+The figures that are printed but not gated (throughput, accuracy, update
+latencies, ...) follow with their medians and quartiles and no verdict.
 It also reports, per workload, whether the answer digests of runs with
 the same seed agree: the answers are a pure function of the seed, so a
 difference means the change altered results, not timing.  Exit status
@@ -33,10 +35,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 
-from metrics import END_TO_END, WORKLOAD_ONLY
+from metrics import REPORTED
+
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "BENCHMARK.json")
+
+
+def gated() -> dict[str, tuple[str, float]]:
+    """``name -> (better, bound)`` of BENCHMARK.json's end-to-end metrics."""
+    with open(BENCHMARK_JSON) as handle:
+        spec = json.load(handle)
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def load(path: str) -> dict[str, list[dict]]:
@@ -91,9 +104,15 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "unchanged"
 
 
-def compare(parent_runs: dict, change_runs: dict, out=sys.stdout) -> int:
-    specs = {name: (better, bound) for name, _unit, better, bound in END_TO_END}
-    specs.update({name: (better, bound) for name, (_u, better, bound) in WORKLOAD_ONLY.items()})
+def _row(name: str, pv: list[float], cv: list[float], verdict_: str) -> str:
+    p1, pm, p3 = quartiles(pv)
+    c1, cm, c3 = quartiles(cv)
+    return (f"  {name:16s} {pm:12.4g} [{p1:9.4g}, {p3:9.4g}] "
+            f"{cm:12.4g} [{c1:9.4g}, {c3:9.4g}]  {verdict_}")
+
+
+def compare(parent_runs: dict, change_runs: dict, specs: dict, out=sys.stdout) -> int:
+    """Print the comparison; 1 if any gated metric got worse, else 0."""
     worse = 0
     for workload in sorted(set(parent_runs) & set(change_runs)):
         parents = {r["seed"]: r for r in parent_runs[workload]}
@@ -106,17 +125,19 @@ def compare(parent_runs: dict, change_runs: dict, out=sys.stdout) -> int:
         print(f"\n{workload}  ({len(paired)} paired runs)", file=out)
         print(f"  {'metric':16s} {'parent median [q1, q3]':>34s} "
               f"{'change median [q1, q3]':>34s}  verdict", file=out)
-        for name, (better, bound) in specs.items():
+        rows = [(name, better, bound) for name, (better, bound) in specs.items()]
+        rows += [(name, None, None) for name in REPORTED]
+        for name, better, bound in rows:
             pv = [values(p).get(name) for p, _ in paired]
             cv = [values(c).get(name) for _, c in paired]
             if any(v is None for v in pv + cv) or not pv:
                 continue
+            if bound is None:
+                print(_row(name, pv, cv, "(not gated)"), file=out)
+                continue
             v = verdict(pv, cv, better, bound)
             worse += v == "worse"
-            p1, pm, p3 = quartiles(pv)
-            c1, cm, c3 = quartiles(cv)
-            print(f"  {name:16s} {pm:12.4g} [{p1:9.4g}, {p3:9.4g}] "
-                  f"{cm:12.4g} [{c1:9.4g}, {c3:9.4g}]  {v}", file=out)
+            print(_row(name, pv, cv, v), file=out)
         same = [s for s in seeds if parents[s].get("answers") == changes[s].get("answers")]
         differ = [s for s in seeds if s not in same]
         note = f"identical on {len(same)} seeds"
@@ -131,7 +152,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     args = parser.parse_args(argv)
-    return compare(load(args.parent), load(args.change))
+    return compare(load(args.parent), load(args.change), gated())
 
 
 if __name__ == "__main__":

@@ -87,9 +87,22 @@ def balanced_order(kinds: int, count: int, rng: random.Random) -> list[int]:
     return out[:count]
 
 
+def interner(key: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Keep one copy of each distinct answer, as told apart by ``key``.
+
+    A closed loop repeats its requests and gets equal answers back;
+    keeping every copy would make the harness's memory, and so the
+    process's peak RSS, grow with the number of requests served.  Runs
+    after the request's completion time is taken.
+    """
+    seen: dict = {}
+    return lambda answer: seen.setdefault(key(answer), answer)
+
+
 def closed_loop(
     issue: Callable[[int], Any],
     seconds: float,
+    key: Callable[[Any], Any],
     min_requests: int = 1,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Phase:
@@ -97,8 +110,9 @@ def closed_loop(
 
     Stops at the first completion past the deadline once at least
     ``min_requests`` have completed.  An exception fails that request
-    only.
+    only.  Answers equal under ``key`` are stored once (:func:`interner`).
     """
+    intern = interner(key)
     phase = Phase(start=clock())
     deadline = phase.start + seconds
     i = 0
@@ -107,6 +121,7 @@ def closed_loop(
         try:
             answer = issue(i)
             sample = Sample(i, "match", sent, sent, clock(), answer=answer)
+            sample.answer = intern(answer)
         except Exception as exc:  # a failed request is counted, not fatal
             sample = Sample(i, "match", sent, sent, clock(), ok=False, error=repr(exc))
         phase.samples.append(sample)
@@ -150,6 +165,7 @@ async def closed_loop_async(
     issue,
     seconds: float,
     clients: int,
+    key: Callable[[Any], Any],
     min_requests: int = 1,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Phase:
@@ -159,7 +175,9 @@ async def closed_loop_async(
     ``issue(i)`` is a coroutine function.  No request starts after the
     deadline once at least ``min_requests`` have started; every started
     request is awaited.  Samples come back ordered by request number.
+    Answers equal under ``key`` are stored once (:func:`interner`).
     """
+    intern = interner(key)
     phase = Phase(start=clock())
     deadline = phase.start + seconds
     numbers = itertools.count()
@@ -176,6 +194,8 @@ async def closed_loop_async(
             except Exception as exc:
                 sample = Sample(i, "match", sent, sent, 0.0, ok=False, error=repr(exc))
             sample.done = clock()
+            if sample.ok:
+                sample.answer = intern(sample.answer)
             samples.append(sample)
 
     await asyncio.gather(*(client() for _ in range(clients)))

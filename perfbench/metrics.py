@@ -23,26 +23,26 @@ from spans import Span, decompose, self_times
 #: counts toward ``accuracy_pct`` when its quality reaches it.
 ACCURACY_THRESHOLD = 0.75
 
-# name, unit, better, bound (share of the parent median)
+# name, unit, better.  Their bounds live in BENCHMARK.json alone.
 END_TO_END = [
-    ("match_p50_ms", "ms", "lower", 0.25),
-    ("match_tail_ms", "ms", "lower", 0.25),
-    ("peak_rss_mb", "MiB", "lower", 0.1),
-    ("setup_s", "s", "lower", 0.25),
+    ("match_p50_ms", "ms", "lower"),
+    ("match_tail_ms", "ms", "lower"),
+    ("peak_rss_mb", "MiB", "lower"),
+    ("setup_s", "s", "lower"),
 ]
 
-#: Printed and compared by ``compare.py`` but not gated in BENCHMARK.json, because a
-#: gated metric must exist on every workload and be steady across seeds:
-#: update latency exists on stream-churn only; accuracy is a fixed
+#: Printed, and summarised by ``compare.py``, but not gated: a gated
+#: metric must exist on every workload and be steady across seeds.
+#: Update latency exists on stream-churn only; accuracy is a fixed
 #: property of each seed's request draw; throughput is the offered rate
-#: on stream-churn and, on the closed loops, swings with the host's speed
-#: by more than any allowed bound (IQR over median 0.27 in ten runs).
-WORKLOAD_ONLY = {
-    "match_p99_ms": ("ms", "lower", 0.25),
-    "throughput_rps": ("req/s", "higher", 0.25),
-    "accuracy_pct": ("%", "higher", 0.02),
-    "update_p50_ms": ("ms", "lower", 0.25),
-    "update_p90_ms": ("ms", "lower", 0.25),
+#: on stream-churn and swings with the host's speed on the closed loops.
+REPORTED = {
+    "match_p99_ms": "ms",
+    "throughput_rps": "req/s",
+    "error_rate": "ratio",
+    "accuracy_pct": "%",
+    "update_p50_ms": "ms",
+    "update_p90_ms": "ms",
 }
 
 #: Layers a request's time is split into, in report order.
@@ -156,31 +156,30 @@ PER_LAYER = [
 ]
 
 UNITS = {name: unit for name, unit, *_ in END_TO_END + PER_LAYER}
-UNITS.update({name: spec[0] for name, spec in WORKLOAD_ONLY.items()})
+UNITS.update(REPORTED)
 
 
 # ----------------------------------------------------------------------
 # End to end
 # ----------------------------------------------------------------------
-def end_to_end(workload, phase: loadgen.Phase, checked, setup_times, rss_mb,
-               pass_rates=None) -> tuple[dict, dict]:
+def end_to_end(workload, phase: loadgen.Phase, checked, setup_times, rss_mb) -> tuple[dict, dict]:
     """``(metrics, report)``: the end-to-end metrics BENCHMARK.json gates, and every
-    end-to-end figure with its sample count for the printed report."""
+    end-to-end figure with its sample count for the printed report.  With
+    no ``setup_times`` (the traced run), ``setup_s`` is left out."""
     ok = [s for s in phase.samples if s.ok]
     matches = [s.latency * 1e3 for s in ok if s.kind == "match"]
     updates = [s.latency * 1e3 for s in ok if s.kind == "update"]
-    # Closed loop: the median pass rate resists scheduler bursts.
-    throughput = statistics.median(pass_rates) if pass_rates else len(ok) / phase.wall
     accurate = sum(1 for q in checked.qualities if q >= ACCURACY_THRESHOLD)
     tail = workload.tail_percentile
     metrics = {
         "match_p50_ms": loadgen.percentile(matches, 50),
         "match_tail_ms": loadgen.percentile(matches, tail),
         "peak_rss_mb": rss_mb,
-        "setup_s": statistics.median(setup_times),
     }
+    if setup_times:
+        metrics["setup_s"] = statistics.median(setup_times)
     report = {
-        "throughput_rps": (throughput, len(ok)),
+        "throughput_rps": (len(ok) / phase.wall, len(ok)),
         "match_p50_ms": (metrics["match_p50_ms"], len(matches)),
         f"match_p{tail}_ms": (metrics["match_tail_ms"], len(matches)),
     }
@@ -194,9 +193,10 @@ def end_to_end(workload, phase: loadgen.Phase, checked, setup_times, rss_mb,
         ),
         "accuracy_pct": (100.0 * accurate / max(1, len(checked.qualities)),
                          len(checked.qualities)),
-        "setup_s": (metrics["setup_s"], len(setup_times)),
         "peak_rss_mb": (rss_mb, 1),
     })
+    if setup_times:
+        report["setup_s"] = (metrics["setup_s"], len(setup_times))
     if updates:
         report["update_p50_ms"] = (loadgen.percentile(updates, 50), len(updates))
         report["update_p90_ms"] = (loadgen.percentile(updates, 90), len(updates))

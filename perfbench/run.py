@@ -5,6 +5,8 @@ Usage (from the repository root)::
     python3 perfbench/run.py --workload fig6-synthetic --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with no instrumentation.
+Its ``setup_s`` comes from fresh interpreters (``--setup-only``), half
+started before the measured phase and half after it.
 ``--trace 1`` first repeats that untraced phase as the overhead
 reference, then sets up afresh with every layer's entry points wrapped
 (:mod:`instrument`) and reports the per-layer metrics.  Every answer of
@@ -37,8 +39,11 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-#: Set-up repetitions; ``setup_s`` is their median.
-SETUP_REPS = 9
+#: ``setup_s`` is the median of ``SETUP_PROCESSES`` × ``SETUPS_PER_PROCESS``
+#: set-ups, each process a fresh interpreter; half the processes run
+#: before the measured phase and half after it.
+SETUP_PROCESSES = 8
+SETUPS_PER_PROCESS = 2
 
 
 def _require_program() -> None:
@@ -56,46 +61,46 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _timed_setup(workload, seed: int, seconds: float, store_dir: str):
-    inputs = workload.generate(seed, seconds)
-    gc.collect()  # every set-up starts from the same collector state
-    start = time.perf_counter()
-    state = workload.setup(inputs, store_dir)
-    return state, time.perf_counter() - start
+def time_setups(workload, seed: int, seconds: float, scratch: str, reps: int) -> list[float]:
+    """Seconds each of ``reps`` set-ups took in this process; only one
+    set-up's state is alive at a time."""
+    times = []
+    for rep in range(reps):
+        inputs = workload.generate(seed, seconds)
+        gc.collect()  # every set-up starts from the same collector state
+        start = time.perf_counter()
+        state = workload.setup(inputs, os.path.join(scratch, f"store-{rep}"))
+        times.append(time.perf_counter() - start)
+        workload.close(state)
+        del state, inputs
+    return times
 
 
-def untraced_phase(workload, seed: int, seconds: float, scratch: str, reps: int) -> dict:
-    """Time ``reps`` set-ups, measure and check the phase on the last one
-    made before it.  Half the set-ups run after the phase, so their
-    median spans the run rather than the host's speed of its first
-    seconds."""
-    before = (reps + 1) // 2
-    setup_times = []
-    state = None
-    for rep in range(before):
-        if state is not None:
-            workload.close(state)
-        state, took = _timed_setup(workload, seed, seconds, os.path.join(scratch, f"store-{rep}"))
-        setup_times.append(took)
+def setup_in_processes(args, processes: int) -> list[float]:
+    """Set-up times from ``processes`` fresh interpreters run one after
+    another.  The host's speed changes over seconds, so set-ups spread
+    over several processes sample it where one process's would not."""
+    command = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
+               "--seed", str(args.seed), "--seconds", str(args.seconds),
+               "--setup-only", str(SETUPS_PER_PROCESS)]
+    times = []
+    for _ in range(processes):
+        done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        if done.returncode != 0:
+            raise RuntimeError(f"set-up process failed: {done.stderr.strip()[-2000:]}")
+        times.extend(json.loads(done.stdout.strip().splitlines()[-1]))
+    return times
+
+
+def untraced_phase(workload, inputs, seconds: float, scratch: str) -> dict:
+    """Set up once, measure the phase and check it."""
+    state = workload.setup(inputs, os.path.join(scratch, "store"))
     try:
         workload.warm(state)
         phase = workload.run(state, seconds)
     finally:
         workload.close(state)
-    checked = workload.check(state, phase)
-    rates = workload.pass_rates(state, phase) if hasattr(workload, "pass_rates") else None
-    rss_mb = _peak_rss_mb()  # before the later set-ups add to the heap
-    for rep in range(before, reps):
-        extra, took = _timed_setup(workload, seed, seconds, os.path.join(scratch, f"store-{rep}"))
-        workload.close(extra)
-        setup_times.append(took)
-    return {
-        "phase": phase,
-        "checked": checked,
-        "setup_times": setup_times,
-        "rss_mb": rss_mb,
-        "pass_rates": rates,
-    }
+    return {"phase": phase, "checked": workload.check(state, phase), "rss_mb": _peak_rss_mb()}
 
 
 def traced_phase(workload, seed: int, seconds: float, scratch: str) -> dict:
@@ -154,6 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="append the full result record here")
     parser.add_argument("--spans", help="write the traced phase's spans here")
+    parser.add_argument("--setup-only", type=int, default=0, metavar="N",
+                        help="only time N set-ups and print their seconds as a JSON list")
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
@@ -175,16 +182,22 @@ def main(argv=None) -> int:
     scratch = os.path.join(ROOT, ".perfbench_tmp", f"run-{os.getpid()}")
     os.makedirs(scratch)
     try:
+        if args.setup_only:
+            print(json.dumps(time_setups(workload, args.seed, args.seconds, scratch,
+                                         args.setup_only)))
+            return 0
+        inputs = workload.generate(args.seed, args.seconds)
         pin_ok, pin_note = pins.check(
-            workload, args.seed,
-            workload.input_fingerprints(workload.generate(args.seed, args.seconds)),
-            pins.load(),
+            workload, args.seed, workload.input_fingerprints(inputs), pins.load()
         )
-        reps = SETUP_REPS if args.trace == 0 else 1
-        plain = untraced_phase(workload, args.seed, args.seconds, scratch, reps)
+        # The traced run reports no setup_s.
+        processes = SETUP_PROCESSES if args.trace == 0 else 0
+        setup_times = setup_in_processes(args, processes // 2)
+        plain = untraced_phase(workload, inputs, args.seconds, scratch)
+        del inputs
+        setup_times += setup_in_processes(args, processes - processes // 2)
         e2e, report = metrics.end_to_end(
-            workload, plain["phase"], plain["checked"], plain["setup_times"],
-            plain["rss_mb"], plain["pass_rates"],
+            workload, plain["phase"], plain["checked"], setup_times, plain["rss_mb"]
         )
         phases = [plain]
         record = {"workload": workload.name, "seed": args.seed, "seconds": args.seconds,
@@ -209,6 +222,7 @@ def main(argv=None) -> int:
         else:
             reported = e2e
             record["report"] = {k: {"value": v, "n": n} for k, (v, n) in report.items()}
+            record["setup_times"] = setup_times
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
         try:
@@ -225,8 +239,8 @@ def main(argv=None) -> int:
     print(f"# {workload.name} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace}: inputs: {pin_note}")
     for name, (value, n) in report.items():
-        # match_p99_ms / match_p90_ms are match_tail_ms under their own name.
-        unit = metrics.UNITS.get(name, "ratio" if name == "error_rate" else "ms")
+        # match_p95_ms / match_p85_ms are match_tail_ms under their own name.
+        unit = metrics.UNITS.get(name, "ms")
         print(f"{name:34s} {_fmt(value):>14s} {unit:10s} n={n}")
     if args.trace:
         for name, unit, _ in metrics.PER_LAYER:

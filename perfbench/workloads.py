@@ -245,17 +245,10 @@ class Fig6Synthetic(Workload):
 
     def run(self, state: Fig6State, seconds: float, tracer=None) -> loadgen.Phase:
         traced = _traced_issue(tracer, self._issue(state))
-        return loadgen.closed_loop(traced, seconds, min_requests=self.min_requests)
-
-    def pass_rates(self, state: Fig6State, phase: loadgen.Phase) -> list[float]:
-        """Requests per second of every complete pass over the trials."""
-        size = len(state.trials)
-        samples = phase.samples
-        rates = []
-        for start in range(0, len(samples) - size + 1, size):
-            wall = samples[start + size - 1].done - samples[start].sent
-            rates.append(size / wall)
-        return rates
+        return loadgen.closed_loop(
+            traced, seconds, min_requests=self.min_requests,
+            key=lambda answer: (frozenset(answer[0].items()), answer[1]),
+        )
 
     def check(self, state: Fig6State, phase: loadgen.Phase) -> Checked:
         out = Checked()
@@ -434,7 +427,8 @@ class CorpusServe(Workload):
             spans.propagate_context(loop)
         try:
             return loop.run_until_complete(loadgen.closed_loop_async(
-                issue, seconds, self.clients, min_requests=len(requests)
+                issue, seconds, self.clients, min_requests=len(requests),
+                key=lambda a: (a[0], a[1], frozenset(a[2].items()), a[3]),
             ))
         finally:
             loop.close()
@@ -505,14 +499,16 @@ class StreamChurn(Workload):
     # About a fifth of the matches pay for a preceding write (shard view
     # rebuild, delta evolve, chain write) and the slowest ~5% a cold shard
     # prepare, whose count moves with the seed.  p85 sits inside the write
-    # band, where it was steadiest across eight seeds (IQR over median:
-    # p75 0.13, p85 0.10, p90 0.24, p95 0.46).
+    # band.  Every tail percentile moves with which matches follow which
+    # writes, so the rate is set for samples: over six seeds, 25 s each,
+    # p85's IQR over median was 0.25 at 6 req/s (120 matches) and 0.19 at
+    # 10 req/s (200 matches); 12 req/s added queueing and gained nothing.
     tail_percentile = 85
 
     # Every pattern is read equally often: under a Zipf law a seed's two
     # or three hot patterns would set the match median alone.
     def __init__(self, sites=16, site_size=250, pattern_size=8, patterns_per_site=4,
-                 rate=6.0, update_share=0.2, generator_seed=2010) -> None:
+                 rate=10.0, update_share=0.2, generator_seed=2010) -> None:
         self.spec = ScenarioSpec(
             sites=sites, site_size=site_size, pattern_size=pattern_size,
             patterns_per_site=patterns_per_site,

@@ -6,11 +6,12 @@ that fix load-bearing: any write to a counter attribute of a stats
 object — ``self.stats.calls += n``, ``stats.solved_by[k] = v``, or
 ``self.calls`` inside ``ServiceStats`` itself — must sit lexically
 inside a ``with <stats>.lock:`` block, and ``snapshot()`` must read
-every counter lock-held.
+every counter lock-held — whether it names them or reads the fields
+generically (``getattr(self, name)``, ``vars``, ``asdict``,
+``self.__dict__``).
 
-The counter set below is cross-checked against
-``ServiceStats.__dataclass_fields__`` by the analyzer's test suite, so
-adding a field without teaching the rule fails CI.
+The counter set is ``ServiceStats``' own field list, so a field is
+guarded from the moment it is declared.
 """
 
 from __future__ import annotations
@@ -19,44 +20,21 @@ import ast
 from typing import Iterable
 
 from repro.analysis.engine import Finding, ParsedFile, Project, Rule
-from repro.analysis.rules.common import LockScopeVisitor, base_name, dotted_name
-
-# Every mutable counter field of ServiceStats ("backend" is config, not a
-# counter; "lock" is the lock itself).
-STATS_COUNTERS = frozenset(
-    {
-        "calls",
-        "prepares",
-        "cache_hits",
-        "cache_misses",
-        "evictions",
-        "disk_hits",
-        "disk_misses",
-        "mmap_opens",
-        "mapped_bytes",
-        "delta_hits",
-        "delta_nodes_recomputed",
-        "delta_seconds",
-        "chain_writes",
-        "chain_bytes_saved",
-        "shard_evolves",
-        "prepare_seconds",
-        "solve_seconds",
-        "load_seconds",
-        "store_seconds",
-        "batch_seconds",
-        "batches",
-        "pairs_pruned",
-        "shards_skipped",
-        "filter_bypasses",
-        "filter_seconds",
-        "hook_calls",
-        "hook_seconds",
-        "solved_by",
-    }
+from repro.analysis.rules.common import (
+    LockScopeVisitor,
+    base_name,
+    call_name,
+    dotted_name,
 )
+from repro.core.service import _COUNTERS
+
+STATS_COUNTERS = frozenset(_COUNTERS)
 
 STATS_CLASS = "ServiceStats"
+
+#: Calls that read fields of their first argument by computed name, or
+#: all at once: in ``snapshot()``, ``<reader>(self, ...)`` reads counters.
+_FIELD_READERS = frozenset({"getattr", "vars", "asdict"})
 
 
 def _stats_lock_held(held: list[str]) -> bool:
@@ -139,6 +117,25 @@ class _Visitor(LockScopeVisitor):
         self.findings.extend(checker.findings)
 
 
+def _generic_read(node: ast.Call) -> str | None:
+    """The reader name when ``node`` reads counters of ``self`` generically.
+
+    ``getattr(self, "backend")`` names a non-counter and reads none;
+    ``getattr(self, f.name)`` may read any field.
+    """
+    name = call_name(node)
+    if (
+        name is None
+        or name.rsplit(".", 1)[-1] not in _FIELD_READERS
+        or not node.args
+        or base_name(node.args[0]) != "self"
+    ):
+        return None
+    if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+        return name if node.args[1].value in STATS_COUNTERS else None
+    return name
+
+
 class _SnapshotVisitor(LockScopeVisitor):
     def __init__(self, rule: "StatsDisciplineRule", pf: ParsedFile) -> None:
         super().__init__()
@@ -146,21 +143,29 @@ class _SnapshotVisitor(LockScopeVisitor):
         self.pf = pf
         self.findings: list[Finding] = []
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (
-            isinstance(node.ctx, ast.Load)
-            and node.attr in STATS_COUNTERS
-            and base_name(node.value) == "self"
-            and not _stats_lock_held(self.held)
-        ):
+    def _flag(self, node: ast.AST, what: str) -> None:
+        if not _stats_lock_held(self.held):
             self.findings.append(
                 self.rule.finding(
                     self.pf,
                     node,
-                    f"snapshot() reads counter '{node.attr}' outside the stats lock "
+                    f"snapshot() reads {what} outside the stats lock "
                     "(torn snapshot under concurrent writers)",
                 )
             )
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load) and base_name(node.value) == "self":
+            if node.attr in STATS_COUNTERS:
+                self._flag(node, f"counter '{node.attr}'")
+            elif node.attr == "__dict__":
+                self._flag(node, "counters through self.__dict__")
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        reader = _generic_read(node)
+        if reader is not None:
+            self._flag(node, f"counters through {reader}()")
         self.generic_visit(node)
 
 

@@ -35,14 +35,14 @@ import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from time import perf_counter
 from typing import Callable, Sequence
 
 from repro.core.api import MatchReport
-from repro.core.service import MatchingService, SimilaritySource
+from repro.core.service import MatchingService, SimilaritySource, _observe
 from repro.core.sharding import ShardedMatchingService
 from repro.graph.digraph import DiGraph
 from repro.utils.errors import InputError
-from repro.utils.timing import Stopwatch
 
 __all__ = ["AsyncMatchingService"]
 
@@ -140,6 +140,7 @@ class AsyncMatchingService:
         thread (not the coroutine), so a ``close()`` issued from the
         event-loop thread itself still drains.
         """
+        started = perf_counter()
         loop = asyncio.get_running_loop()
         call = partial(fn, *args, **kwargs)
 
@@ -158,21 +159,12 @@ class AsyncMatchingService:
                     raise InputError("AsyncMatchingService is closed")
                 executor = self._ensure_pool()
                 self._inflight += 1
-            with Stopwatch() as watch:
-                # run_in_executor submits synchronously, so the tracked
-                # wrapper (and its in-flight release) is committed to the
-                # pool before this coroutine can be suspended/cancelled.
-                result = await loop.run_in_executor(executor, tracked)
-            self._observe("async", watch.elapsed)
+            # run_in_executor submits synchronously, so the tracked
+            # wrapper (and its in-flight release) is committed to the
+            # pool before this coroutine can be suspended/cancelled.
+            result = await loop.run_in_executor(executor, tracked)
+            _observe(self.latency_hook, "async", perf_counter() - started)
             return result
-
-    def _observe(self, op: str, seconds: float) -> None:
-        hook = self.latency_hook
-        if hook is not None:
-            try:
-                hook(op, seconds)
-            except Exception:
-                pass  # observability must never fail serving
 
     # ------------------------------------------------------------------
     # Request surface

@@ -33,6 +33,7 @@ from repro.core.engine import PICK_RULES
 from repro.core.optimize import comp_max_card_partitioned
 from repro.core.phom import PHomResult, validate_threshold
 from repro.core.prefilter import (
+    LabelEqualitySimilarity,
     gated_candidate_rows,
     label_gate_of,
     validate_prefilter,
@@ -159,6 +160,23 @@ def match_prepared(
     )
 
 
+def _label_gate(
+    mat: object, prefilter: str, metric: str, partitioned: bool
+) -> LabelEqualitySimilarity | None:
+    """The label gate to build a request's candidate rows from, or ``None``.
+
+    The prefilter's gated fast path: rows come straight off the prepared
+    label index — no similarity matrix is ever materialised — when the
+    source declares label-equality semantics and the request runs the
+    partitioned cardinality path with the pipeline on.  ``None`` is the
+    conservative bypass: the source is resolved as a matrix, and results
+    stay bit-identical either way.
+    """
+    if prefilter == "off" or not partitioned or metric != "cardinality":
+        return None
+    return label_gate_of(mat)
+
+
 def _solve_prepared(
     graph1: DiGraph,
     prepared: PreparedDataGraph,
@@ -178,26 +196,14 @@ def _solve_prepared(
     layer) that already ran :func:`validate_match_options` pre-flight.
 
     ``candidate_rows`` are pre-computed rows for the partitioned path
-    (the service's gated fast path hands them down); ``prefilter`` is
-    supported on the partitioned path only — ``strict`` anywhere else
-    raises, ``auto`` elsewhere is the conservative bypass (the caller
-    counts it).
+    (the service's gated fast path hands them down); without them a
+    label-gated ``mat`` builds its own (see :func:`_label_gate`).
     """
     pattern = closure_pattern(graph1) if symmetric else graph1
     graph2 = prepared.graph
 
-    if prefilter == "strict" and not (partitioned and metric == "cardinality"):
-        raise InputError(
-            "prefilter='strict' needs the partitioned cardinality path "
-            "(partitioned=True or sharded routing)"
-        )
-    if (
-        candidate_rows is None
-        and prefilter != "off"
-        and partitioned
-        and metric == "cardinality"
-    ):
-        gate = label_gate_of(mat)
+    if candidate_rows is None:
+        gate = _label_gate(mat, prefilter, metric, partitioned)
         if gate is not None:
             candidate_rows = gated_candidate_rows(gate, pattern, prepared)
     if candidate_rows is None:

@@ -43,20 +43,24 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
+from time import perf_counter
 from typing import Callable, Sequence
 
 from repro.core.api import (
     DEFAULT_MATCH_THRESHOLD,
     MatchReport,
+    _label_gate,
     _solve_prepared,
     closure_pattern,
+    match_prepared,
     validate_match_options,
 )
 from repro.core.backends import SolverBackend, get_backend
 from repro.core.incremental import DeltaLog
 from repro.core.phom import validate_threshold
-from repro.core.prefilter import gated_candidate_rows, label_gate_of
+from repro.core.prefilter import gated_candidate_rows
 from repro.core.prepared import PreparedDataGraph
 from repro.core.store import PreparedIndexStore
 from repro.core.workspace import MatchingWorkspace
@@ -95,6 +99,32 @@ def resolve_similarity(
             f"similarity source must be a SimilarityMatrix or callable, got {source!r}"
         )
     return source(pattern, data)
+
+
+def _observe(
+    hook: Callable[[str, float], None] | None,
+    op: str,
+    seconds: float,
+    charge: Callable[[float], None] | None = None,
+) -> None:
+    """Feed one completed call's wall-clock to a latency hook, if any.
+
+    The service, the sharded router and the async adapter all observe
+    through here, after the call's stats landed and outside every lock
+    (a hook may itself snapshot stats).  ``charge`` receives the hook's
+    own seconds, so a slow hook is accounted apart from the call it
+    observes; a raising hook is swallowed — observability must never
+    fail serving.
+    """
+    if hook is None:
+        return
+    with Stopwatch() as watch:
+        try:
+            hook(op, seconds)
+        except Exception:
+            pass
+    if charge is not None:
+        charge(watch.elapsed)
 
 
 @dataclass
@@ -209,7 +239,8 @@ class ServiceStats:
         self.solved_by[name] = self.solved_by.get(name, 0) + count
 
     def snapshot(self) -> dict:
-        """A plain-dict copy, for reports and JSON payloads.
+        """A plain-dict copy of every field but the lock, in declaration
+        order — for reports and JSON payloads.
 
         Taken under :attr:`lock`: concurrent ``match_many`` fan-out (or
         async serving) can never leak a torn snapshot where some fields
@@ -217,36 +248,18 @@ class ServiceStats:
         """
         with self.lock:
             return {
-                "calls": self.calls,
-                "prepares": self.prepares,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "evictions": self.evictions,
-                "disk_hits": self.disk_hits,
-                "disk_misses": self.disk_misses,
-                "mmap_opens": self.mmap_opens,
-                "mapped_bytes": self.mapped_bytes,
-                "delta_hits": self.delta_hits,
-                "delta_nodes_recomputed": self.delta_nodes_recomputed,
-                "delta_seconds": self.delta_seconds,
-                "chain_writes": self.chain_writes,
-                "chain_bytes_saved": self.chain_bytes_saved,
-                "shard_evolves": self.shard_evolves,
-                "prepare_seconds": self.prepare_seconds,
-                "solve_seconds": self.solve_seconds,
-                "load_seconds": self.load_seconds,
-                "store_seconds": self.store_seconds,
-                "batch_seconds": self.batch_seconds,
-                "batches": self.batches,
-                "pairs_pruned": self.pairs_pruned,
-                "shards_skipped": self.shards_skipped,
-                "filter_bypasses": self.filter_bypasses,
-                "filter_seconds": self.filter_seconds,
-                "hook_calls": self.hook_calls,
-                "hook_seconds": self.hook_seconds,
-                "backend": self.backend,
-                "solved_by": dict(self.solved_by),
+                f.name: copy(getattr(self, f.name))
+                for f in fields(self)
+                if f.name != "lock"
             }
+
+
+#: The :class:`ServiceStats` fields that count — every field but the
+#: ``backend`` label and the ``lock``.  The sharded aggregate sums
+#: exactly these, and repro-lint's RL002 guards them.
+_COUNTERS = tuple(
+    f.name for f in fields(ServiceStats) if f.name not in ("backend", "lock")
+)
 
 
 class PreparedGraphCache:
@@ -614,48 +627,28 @@ class MatchSession:
     ) -> MatchReport:
         """Match one pattern; parameters as in :func:`repro.core.api.match`.
 
-        A service-backed session charges prefilter work to the same
-        counters as :meth:`MatchingService.match`: gated row
-        construction lands in ``filter_seconds`` (outside the solve
-        stopwatch — it used to be silently folded into
-        ``solve_seconds``), a conservatively disengaged prefilter bumps
-        ``filter_bypasses``, and ``prefilter="off"`` touches no filter
-        counter at all.
+        A service-backed session takes the service's own request path
+        (:meth:`MatchingService.match` minus the cache lookup), so its
+        solves, prefilter work and hook observations count exactly like
+        the service's.  A standalone session solves against its index
+        with the resolved matrix and records nothing.
         """
-        validate_match_options(
-            metric, threshold, self.xi, partitioned, pick,
-            backend=self.backend, prefilter=prefilter,
-        )  # pre-flight
-        service = self.service
-        rows = None
-        if service is not None:
-            rows = service._gated_rows(
-                self.similarity, graph1, self.prepared, prefilter, metric,
-                partitioned, symmetric,
+        options = dict(
+            metric=metric, injective=injective, threshold=threshold,
+            partitioned=partitioned, symmetric=symmetric, pick=pick,
+            prefilter=prefilter,
+        )
+        if self.service is None:
+            report = match_prepared(
+                graph1, self.prepared, self.matrix_for(graph1), self.xi,
+                backend=self.backend, **options,
             )
-        with Stopwatch() as watch:
-            report = _solve_prepared(
-                graph1,
-                self.prepared,
-                self.similarity if rows is not None else self.matrix_for(graph1),
-                self.xi,
-                metric=metric,
-                injective=injective,
-                threshold=threshold,
-                partitioned=partitioned,
-                symmetric=symmetric,
-                pick=pick,
-                backend=self.backend,
-                prefilter=prefilter,
-                candidate_rows=rows,
+        else:
+            (report,) = self.service._serve(
+                [graph1], self.data_graph, self.similarity, self.xi,
+                self.backend, options, prepared=self.prepared,
             )
         self.patterns_matched += 1
-        if service is not None:
-            service._record_solves(
-                1, watch.elapsed, backend=self.backend,
-                pairs_pruned=report.result.stats.get("pairs_pruned", 0),
-            )
-            service._observe("match", watch.elapsed)
         return report
 
 
@@ -673,12 +666,16 @@ class MatchingService:
 
     ``latency_hook`` is an optional ``(op, seconds) -> None`` callable
     observed after every completed request — ``op`` is ``"match"``,
-    ``"batch"`` or ``"update"`` and ``seconds`` the call's recorded
-    wall-clock.  It is how the load harness (:mod:`repro.workload`)
-    collects per-call latency without wrapping call sites.  The hook
-    runs *after* every timing stopwatch and stats update has completed,
-    so its own overhead is charged to ``hook_seconds`` only; a raising
-    hook is swallowed (observability must never fail serving).
+    ``"batch"`` or ``"update"`` and ``seconds`` the call's wall-clock
+    from entry: validation, tier lookup, hydration, delta evolution,
+    the prefilter, similarity resolution and the solve.  Inside a batch
+    each pattern's ``"match"`` times its own gate, resolve and solve,
+    and the ``"batch"`` times the whole call.  It is how the load
+    harness (:mod:`repro.workload`) collects per-call latency without
+    wrapping call sites.  The hook runs *after* every timing stopwatch
+    and stats update has completed, so its own overhead is charged to
+    ``hook_seconds`` only; a raising hook is swallowed (observability
+    must never fail serving).
     """
 
     def __init__(
@@ -737,90 +734,100 @@ class MatchingService:
         """
         with Stopwatch() as watch:
             prepared = self.cache.prepared_for(graph2)
-        self._observe("update", watch.elapsed)
+        _observe(self.latency_hook, "update", watch.elapsed, self._charge_hook)
         return prepared
 
-    def _record_solves(
-        self,
-        count: int,
-        elapsed: float,
-        batch_elapsed: float | None = None,
-        backend: SolverBackend | None = None,
-        pairs_pruned: int = 0,
-    ) -> None:
+    def _charge_hook(self, seconds: float) -> None:
+        """Account one latency-hook call's own overhead."""
         with self.stats.lock:
-            self.stats.calls += count
-            self.stats.solve_seconds += elapsed
-            if batch_elapsed is not None:
+            self.stats.hook_calls += 1
+            self.stats.hook_seconds += seconds
+
+    def _serve(
+        self,
+        patterns: list[DiGraph],
+        graph2: DiGraph,
+        mat: SimilaritySource,
+        xi: float,
+        backend: "str | SolverBackend | None",
+        options: dict,
+        prepared: PreparedDataGraph | None = None,
+        max_workers: int | None = None,
+        batch: bool = False,
+    ) -> list[MatchReport]:
+        """The flat request path every match, batch and session solve takes.
+
+        Validate pre-flight (a bad option must not cost a prepare), look
+        up the index (``prepared`` skips this: sessions hold theirs),
+        then per pattern: the prefilter's gated rows (see
+        :func:`~repro.core.api._label_gate`) or the resolved similarity
+        matrix, and the solve.  One stats update records the lot, then
+        the latency hook observes.  ``options`` are the solve options of
+        :func:`~repro.core.api.match`, ``metric`` through ``prefilter``.
+
+        Stats: ``solve_seconds`` sums the per-solve times (a parallel
+        batch reports what the sequential one does), gated row
+        construction lands in ``filter_seconds`` and a disengaged
+        prefilter bumps ``filter_bypasses`` per pattern.  A ``batch``
+        also adds the fan-out's wall-clock to ``batch_seconds``.
+        """
+        started = perf_counter()
+        solver = self.backend if backend is None else get_backend(backend)
+        metric, partitioned = options["metric"], options["partitioned"]
+        prefilter = options["prefilter"]
+        validate_match_options(
+            metric, options["threshold"], xi, partitioned, options["pick"],
+            backend=solver, prefilter=prefilter,
+        )
+        index = self.prepared_for(graph2) if prepared is None else prepared
+        gate = _label_gate(mat, prefilter, metric, partitioned)
+
+        def solve(graph1: DiGraph) -> tuple[MatchReport, float, float, float]:
+            path_started = perf_counter()
+            rows = None
+            filtered = 0.0
+            if gate is not None:
+                with Stopwatch() as filter_watch:
+                    pattern = closure_pattern(graph1) if options["symmetric"] else graph1
+                    rows = gated_candidate_rows(gate, pattern, index)
+                filtered = filter_watch.elapsed
+            with Stopwatch() as watch:  # resolving the source counts as solving
+                source = mat if rows is not None else resolve_similarity(mat, graph1, graph2)
+                report = _solve_prepared(
+                    graph1, index, source, xi, backend=solver,
+                    candidate_rows=rows, **options,
+                )
+            return report, watch.elapsed, filtered, perf_counter() - path_started
+
+        with Stopwatch() as fan_out:
+            if max_workers is not None and max_workers > 1 and len(patterns) > 1:
+                with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                    solved = list(pool.map(solve, patterns))
+            else:
+                solved = [solve(graph1) for graph1 in patterns]
+        with self.stats.lock:
+            self.stats.calls += len(solved)
+            self.stats.record_backend(solver.name, len(solved))
+            for report, solve_seconds, filter_seconds, _ in solved:
+                self.stats.solve_seconds += solve_seconds
+                self.stats.filter_seconds += filter_seconds
+                self.stats.pairs_pruned += report.result.stats.get("pairs_pruned", 0)
+            if gate is None and prefilter != "off":
+                self.stats.filter_bypasses += len(solved)
+            if batch:
                 # Summed per batch: concurrent match_many callers overlap
                 # in real time, so only batch_seconds / batches (the mean
                 # per-batch wall-clock) is comparable to elapsed time.
-                self.stats.batch_seconds += batch_elapsed
+                self.stats.batch_seconds += fan_out.elapsed
                 self.stats.batches += 1
-            if backend is not None:
-                self.stats.record_backend(backend.name, count)
-            if pairs_pruned:
-                self.stats.pairs_pruned += pairs_pruned
-
-    def _observe(self, op: str, seconds: float) -> None:
-        """Feed one completed call's wall-clock to the latency hook.
-
-        Called after the solve stopwatch closed and its stats landed, so
-        a slow hook can never inflate ``solve_seconds`` or
-        ``batch_seconds`` — its cost is accounted separately in
-        ``hook_calls``/``hook_seconds``.  The hook runs outside every
-        lock (it may itself snapshot stats) and its exceptions are
-        swallowed: observability must never fail serving.
-        """
-        hook = self.latency_hook
-        if hook is None:
-            return
-        with Stopwatch() as watch:
-            try:
-                hook(op, seconds)
-            except Exception:
-                pass
-        with self.stats.lock:
-            self.stats.hook_calls += 1
-            self.stats.hook_seconds += watch.elapsed
-
-    def _gated_rows(
-        self,
-        mat: SimilaritySource,
-        graph1: DiGraph,
-        prepared: PreparedDataGraph,
-        prefilter: str,
-        metric: str,
-        partitioned: bool,
-        symmetric: bool,
-    ):
-        """The prefilter's gated fast path: candidate rows, or ``None``.
-
-        Rows come straight off the prepared label index — no similarity
-        matrix is ever materialised — when the source declares
-        label-equality semantics and the request runs the partitioned
-        cardinality path.  Anything else is the conservative bypass:
-        ``None`` (the caller resolves the source exactly as with the
-        pipeline off) plus a ``filter_bypasses`` bump, so results stay
-        bit-identical.  Row-construction time lands in
-        ``filter_seconds``.
-        """
-        if prefilter == "off":
-            return None
-        if (
-            label_gate_of(mat) is None
-            or not partitioned
-            or metric != "cardinality"
-        ):
-            with self.stats.lock:
-                self.stats.filter_bypasses += 1
-            return None
-        with Stopwatch() as watch:
-            pattern = closure_pattern(graph1) if symmetric else graph1
-            rows = gated_candidate_rows(label_gate_of(mat), pattern, prepared)
-        with self.stats.lock:
-            self.stats.filter_seconds += watch.elapsed
-        return rows
+        if batch:
+            for _, _, _, path_seconds in solved:
+                _observe(self.latency_hook, "match", path_seconds, self._charge_hook)
+        _observe(
+            self.latency_hook, "batch" if batch else "match",
+            perf_counter() - started, self._charge_hook,
+        )
+        return [report for report, *_ in solved]
 
     def session(
         self,
@@ -856,38 +863,14 @@ class MatchingService:
         prefilter: str = "auto",
     ) -> MatchReport:
         """One pattern against one data graph, through the prepared cache."""
-        solver = self.backend if backend is None else get_backend(backend)
-        validate_match_options(
-            metric, threshold, xi, partitioned, pick, backend=solver,
-            prefilter=prefilter,
-        )  # pre-flight
-        prepared = self.prepared_for(graph2)
-        rows = self._gated_rows(
-            mat, graph1, prepared, prefilter, metric, partitioned, symmetric
-        )
-        with Stopwatch() as watch:
-            report = _solve_prepared(
-                graph1,
-                prepared,
-                mat if rows is not None else resolve_similarity(mat, graph1, graph2),
-                xi,
-                metric=metric,
-                injective=injective,
-                threshold=threshold,
-                partitioned=partitioned,
-                symmetric=symmetric,
-                pick=pick,
-                backend=solver,
+        (report,) = self._serve(
+            [graph1], graph2, mat, xi, backend,
+            dict(
+                metric=metric, injective=injective, threshold=threshold,
+                partitioned=partitioned, symmetric=symmetric, pick=pick,
                 prefilter=prefilter,
-                candidate_rows=rows,
-            )
-        self._record_solves(
-            1,
-            watch.elapsed,
-            backend=solver,
-            pairs_pruned=report.result.stats.get("pairs_pruned", 0),
+            ),
         )
-        self._observe("match", watch.elapsed)
         return report
 
     def match_many(
@@ -915,56 +898,16 @@ class MatchingService:
         parallel batch reports the same figure as the sequential one),
         while the pool's wall-clock lands in ``batch_seconds``.
         """
-        solver = self.backend if backend is None else get_backend(backend)
-        validate_match_options(
-            metric, threshold, xi, partitioned, pick, backend=solver,
-            prefilter=prefilter,
-        )  # pre-flight
-        patterns = list(patterns)
-        prepared = self.prepared_for(graph2)
-
-        def solve(graph1: DiGraph) -> tuple[MatchReport, float]:
-            rows = self._gated_rows(
-                mat, graph1, prepared, prefilter, metric, partitioned, symmetric
-            )
-            with Stopwatch() as solve_watch:
-                report = _solve_prepared(
-                    graph1,
-                    prepared,
-                    mat if rows is not None else resolve_similarity(mat, graph1, graph2),
-                    xi,
-                    metric=metric,
-                    injective=injective,
-                    threshold=threshold,
-                    partitioned=partitioned,
-                    symmetric=symmetric,
-                    pick=pick,
-                    backend=solver,
-                    prefilter=prefilter,
-                    candidate_rows=rows,
-                )
-            return report, solve_watch.elapsed
-
-        with Stopwatch() as watch:
-            if max_workers is not None and max_workers > 1 and len(patterns) > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    timed = list(pool.map(solve, patterns))
-            else:
-                timed = [solve(graph1) for graph1 in patterns]
-        reports = [report for report, _ in timed]
-        self._record_solves(
-            len(patterns),
-            sum(elapsed for _, elapsed in timed),
-            batch_elapsed=watch.elapsed,
-            backend=solver,
-            pairs_pruned=sum(
-                report.result.stats.get("pairs_pruned", 0) for report, _ in timed
+        return self._serve(
+            list(patterns), graph2, mat, xi, backend,
+            dict(
+                metric=metric, injective=injective, threshold=threshold,
+                partitioned=partitioned, symmetric=symmetric, pick=pick,
+                prefilter=prefilter,
             ),
+            max_workers=max_workers,
+            batch=True,
         )
-        for _, elapsed in timed:
-            self._observe("match", elapsed)
-        self._observe("batch", watch.elapsed)
-        return reports
 
 
 _default_service: MatchingService | None = None

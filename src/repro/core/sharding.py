@@ -57,13 +57,15 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter
 from typing import Callable, Hashable, Sequence
 
 from repro.core.api import (
     DEFAULT_MATCH_THRESHOLD,
     MatchReport,
+    _label_gate,
     closure_pattern,
     validate_match_options,
 )
@@ -72,10 +74,12 @@ from repro.core.backends.bitops import has_bit, set_bit
 from repro.core.incremental import DeltaLog
 from repro.core.optimize import plan_components, solve_component
 from repro.core.phom import PHomResult
-from repro.core.prefilter import label_bit, label_gate_of, label_signature
+from repro.core.prefilter import label_bit, label_signature
 from repro.core.service import (
+    _COUNTERS,
     MatchingService,
     SimilaritySource,
+    _observe,
     resolve_similarity,
 )
 from repro.core.store import PreparedIndexStore
@@ -587,7 +591,8 @@ class ShardedMatchingService:
         self._lock = threading.Lock()
         #: Request-level latency hook, fed by the *router* (workers keep
         #: no hook: one observation per request, not per component) —
-        #: semantics as in :class:`MatchingService`.
+        #: semantics as in :class:`MatchingService`: each observation
+        #: times the whole call from entry, routing and planning included.
         self.latency_hook = latency_hook
         self._counters = {
             "routed_calls": 0,
@@ -607,25 +612,11 @@ class ShardedMatchingService:
             "hook_seconds": 0.0,
         }
 
-    def _observe(self, op: str, seconds: float) -> None:
-        """Feed one completed request's wall-clock to the latency hook.
-
-        Mirrors :meth:`MatchingService._observe`: runs after every
-        timing stopwatch and counter update, outside the router lock,
-        with hook time accounted in ``hook_calls``/``hook_seconds`` and
-        hook exceptions swallowed.
-        """
-        hook = self.latency_hook
-        if hook is None:
-            return
-        with Stopwatch() as watch:
-            try:
-                hook(op, seconds)
-            except Exception:
-                pass
+    def _charge_hook(self, seconds: float) -> None:
+        """Account one latency-hook call's own overhead."""
         with self._lock:
             self._counters["hook_calls"] += 1
-            self._counters["hook_seconds"] += watch.elapsed
+            self._counters["hook_seconds"] += seconds
 
     @property
     def store(self) -> PreparedIndexStore | None:
@@ -652,12 +643,12 @@ class ShardedMatchingService:
         Exactly :meth:`MatchingService.match` on the owning shard —
         routing changes which worker's cache warms, never the result.
         """
+        started = perf_counter()
         worker = self.worker_for(graph2)
         with self._lock:
             self._counters["routed_calls"] += 1
-        with Stopwatch() as watch:
-            report = worker.match(graph1, graph2, mat, xi, **options)
-        self._observe("match", watch.elapsed)
+        report = worker.match(graph1, graph2, mat, xi, **options)
+        _observe(self.latency_hook, "match", perf_counter() - started, self._charge_hook)
         return report
 
     def match_many(
@@ -669,13 +660,13 @@ class ShardedMatchingService:
         **options,
     ) -> list[MatchReport]:
         """A batch against one data graph, hash-routed to its worker."""
+        started = perf_counter()
         patterns = list(patterns)
         worker = self.worker_for(graph2)
         with self._lock:
             self._counters["routed_calls"] += len(patterns)
-        with Stopwatch() as watch:
-            reports = worker.match_many(patterns, graph2, mat, xi, **options)
-        self._observe("batch", watch.elapsed)
+        reports = worker.match_many(patterns, graph2, mat, xi, **options)
+        _observe(self.latency_hook, "batch", perf_counter() - started, self._charge_hook)
         return reports
 
     # ------------------------------------------------------------------
@@ -747,7 +738,7 @@ class ShardedMatchingService:
         """
         with Stopwatch() as watch:
             plan = self.plan_for(graph2)
-        self._observe("update", watch.elapsed)
+        _observe(self.latency_hook, "update", watch.elapsed, self._charge_hook)
         return plan
 
     def match_sharded(
@@ -790,6 +781,7 @@ class ShardedMatchingService:
         everything bit-identical to ``off``; ``strict`` adds sketch pair
         pruning (the approximate tier).
         """
+        started = perf_counter()
         if metric != "cardinality":
             raise InputError("sharded matching is implemented for the cardinality metric")
         solver = None if backend is None else get_backend(backend)
@@ -807,7 +799,7 @@ class ShardedMatchingService:
             and plan.fingerprint != graph_fingerprint(graph2)
         ):
             raise InputError("shard plan does not describe this data graph")
-        gate = None if prefilter == "off" else label_gate_of(mat)
+        gate = _label_gate(mat, prefilter, metric, partitioned=True)
         if gate is None:
             resolved = resolve_similarity(mat, graph1, graph2)
         else:
@@ -831,7 +823,10 @@ class ShardedMatchingService:
                 self._counters["pairs_pruned"] += filtered["pairs_pruned"]
                 self._counters["shards_skipped"] += filtered["shards_skipped"]
                 self._counters["filter_seconds"] += filtered["filter_seconds"]
-        self._observe("match_sharded", watch.elapsed)
+        _observe(
+            self.latency_hook, "match_sharded", perf_counter() - started,
+            self._charge_hook,
+        )
         quality = result.qual_card
         return MatchReport(
             matched=quality >= threshold,
@@ -864,6 +859,7 @@ class ShardedMatchingService:
         parallelise *across* patterns); results are identical to the
         sequential path.
         """
+        started = perf_counter()
         patterns = list(patterns)
         plan = self.plan_for(graph2)
 
@@ -886,7 +882,7 @@ class ShardedMatchingService:
             # as ServiceStats.batch_seconds under concurrent callers.
             self._counters["batch_seconds"] += watch.elapsed
             self._counters["batches"] += 1
-        self._observe("batch", watch.elapsed)
+        _observe(self.latency_hook, "batch", perf_counter() - started, self._charge_hook)
         return reports
 
     def _scope_shard_delta(
@@ -1122,7 +1118,10 @@ class ShardedMatchingService:
             # Worker stats count *component* solves — the unit of work a
             # shard actually performs; the router's sharded_solves
             # counter tracks pattern-level requests.
-            service._record_solves(1, solve_watch.elapsed, backend=workspace.backend)
+            with service.stats.lock:
+                service.stats.calls += 1
+                service.stats.solve_seconds += solve_watch.elapsed
+                service.stats.record_backend(workspace.backend.name)
             return [(v, workspace.nodes2[u]) for v, u in pairs], rounds
 
         all_pairs: list[tuple[int, Node]] = []
@@ -1195,8 +1194,9 @@ class ShardedMatchingService:
         """Aggregated service statistics with a per-shard breakdown.
 
         Each worker snapshot is internally consistent (taken under that
-        worker's stats lock); the aggregate sums the numeric fields and
-        merges ``solved_by``.  Worker ``calls`` count the *component*
+        worker's stats lock); the aggregate sums every ``ServiceStats``
+        counter — ``solved_by`` per backend name — and reports the
+        router's own backend.  Worker ``calls`` count the *component*
         solves a shard performed — the router's ``sharded_solves`` is
         the pattern-level request count, and ``routed_calls`` counts
         hash-routed whole-graph requests.
@@ -1204,16 +1204,15 @@ class ShardedMatchingService:
         per_shard = [worker.stats.snapshot() for worker in self.workers]
         spill = self.spill.stats.snapshot()
         aggregate: dict = {}
-        for snap in per_shard + [spill]:
-            for field, value in snap.items():
-                if field == "solved_by":
-                    merged = aggregate.setdefault("solved_by", {})
-                    for name, count in value.items():
-                        merged[name] = merged.get(name, 0) + count
-                elif field == "backend":
-                    continue
-                else:
-                    aggregate[field] = aggregate.get(field, 0) + value
+        for name in _COUNTERS:
+            values = [snap[name] for snap in per_shard + [spill]]
+            if isinstance(values[0], dict):
+                merged: Counter = Counter()
+                for value in values:
+                    merged.update(value)
+                aggregate[name] = dict(merged)
+            else:
+                aggregate[name] = sum(values)
         aggregate["backend"] = self.backend.name
         with self._lock:
             counters = dict(self._counters)

@@ -3,7 +3,7 @@
 The headline measurement of the pluggable-backend refactor: the same
 greedy engine run on the same workspaces, once with the
 ``PythonIntBackend`` (big-int masks, the paper-faithful reference) and
-once with the ``NumpyBlockBackend`` (uint64 block matrices + collapsed
+once with the ``numpy`` backend (uint64 block matrices + collapsed
 degenerate chains).  Backends must be *bit-identical* — same σ, same
 contradictory sets, same reports, same hydration of a stored payload —
 and the numpy engine must be at least ``MIN_SPEEDUP``× faster on the

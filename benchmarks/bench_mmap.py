@@ -1,25 +1,31 @@
-"""The zero-copy mmap backend's headline claims, measured and asserted.
+"""Mapped store hydration's headline claims, measured and asserted.
 
-Three claims ride on the ``"mmap"`` backend (see
-``core/backends/mmap_block.py``), and this module is their evidence:
+The ``"numpy"`` backend (``"mmap"`` is its alias; see
+``core/backends/mmap_block.py``) serves store hits by mapping the file.
+Three claims ride on that, and this module is their evidence.  Each
+compares two hydrations that both solve on the numpy kernels:
+
+* **decoded** — a ``python`` service loads the payload (read + sha256 +
+  big-int decode) and a per-call ``backend="numpy"`` solve packs the
+  uint64 rows from the big ints;
+* **mapped** — a ``numpy`` service maps the file (a stat, a sidecar
+  check, and an ``np.frombuffer`` view).
 
 1. **O(1) cold start** — ``test_mmap_cold_start`` hydrates a warm-store
    index of a 2400-node skeleton to first-match readiness under a fresh
-   service per backend.  The numpy path pays read + sha256 + big-int
-   payload decode + matrix packing; the mmap path pays a stat, a
-   sidecar check, and an ``np.frombuffer`` view.  The ratio must be
+   service per hydration.  The decoded/mapped ratio must be
    ≥ ``MIN_COLD_SPEEDUP`` (5×).
 2. **Bounded memory** — ``test_mmap_rss_bounded`` serves a corpus of
    prepared graphs *larger than the service LRU* from one warm store,
-   once per backend, in a fresh **subprocess** each (``ru_maxrss`` is a
-   process-lifetime high-water mark, so honest comparison requires
-   process isolation).  The mmap child's peak RSS must come in under
-   the numpy child's: decoded payloads are anonymous memory, mapped
-   rows are evictable page cache.
+   once per hydration, in a fresh **subprocess** each (``ru_maxrss`` is
+   a process-lifetime high-water mark, so honest comparison requires
+   process isolation).  The mapped child's peak RSS must come in under
+   the decoded child's: decoded payloads and packed rows are anonymous
+   memory, mapped rows are evictable page cache.
 3. **Bit-identical answers** — every hydration path above is checked
    against the ``python`` reference mapping; the CI smoke
    (``test_mmap_equivalence``) asserts σ/quality/report identity across
-   all three backends on the facade.
+   every backend name on the facade.
 
 ``--json PATH`` writes the measurements to ``BENCH_mmap.json`` (with
 ``peak_rss_kb`` stamped by ``bench_utils``, like every artifact).
@@ -61,8 +67,11 @@ RSS_LRU = 2
 RSS_ROUNDS = 2
 
 needs_numpy = pytest.mark.skipif(
-    "mmap" not in available_backends(), reason="mmap backend unavailable"
+    "numpy" not in available_backends(), reason="numpy backend unavailable"
 )
+
+#: Service backend per hydration; both solve with ``backend="numpy"``.
+HYDRATIONS = {"decoded": "python", "mapped": "numpy"}
 
 #: Both measurements land in ONE ``BENCH_mmap.json``: each test merges
 #: its section here and rewrites the artifact (tests run in file order,
@@ -104,21 +113,20 @@ def _pattern_and_matrix(graph: DiGraph, seed: int, pattern_nodes: int):
     return pattern, mat
 
 
-def _hydrate_seconds(store_dir: str, backend_name: str, graph: DiGraph) -> float:
-    """Seconds from a cold service to first-match-ready rows, warm store."""
+def _hydrate_seconds(store_dir: str, hydration: str, graph: DiGraph) -> float:
+    """Seconds from a cold service to first-match-ready numpy rows, warm
+    store."""
     service = MatchingService(
-        max_prepared=RSS_LRU, store_dir=store_dir, backend=backend_name
+        max_prepared=RSS_LRU, store_dir=store_dir, backend=HYDRATIONS[hydration]
     )
     start = time.perf_counter()
     prepared = service.prepared_for(graph)
-    prepared.backend_rows(service.backend)  # what the first solve needs
+    prepared.backend_rows(get_backend("numpy"))  # what the first solve needs
     elapsed = time.perf_counter() - start
     snapshot = service.stats.snapshot()
     assert snapshot["prepares"] == 0, "store was not warm"
     assert snapshot["disk_hits"] == 1
-    if backend_name == "mmap":
-        assert snapshot["mmap_opens"] == 1
-        assert snapshot["mapped_bytes"] > 0
+    assert snapshot["mmap_opens"] == int(hydration == "mapped")
     return elapsed
 
 
@@ -145,7 +153,7 @@ def test_mmap_equivalence(tmp_path):
         assert report.result.mapping == reference.result.mapping, name
 
     # The *mapped* hydration path answers identically too.
-    backend = get_backend("mmap")
+    backend = get_backend("numpy")
     region = store.payload_region(prepared.fingerprint, verify="full")
     assert region is not None
     mapped = PreparedDataGraph.from_mapped(
@@ -153,7 +161,7 @@ def test_mmap_equivalence(tmp_path):
     )
     assert list(mapped.from_mask) == list(prepared.from_mask)
     assert mapped.cycle_mask == prepared.cycle_mask
-    via_mapped = match_prepared(pattern, mapped, mat, XI, backend="mmap")
+    via_mapped = match_prepared(pattern, mapped, mat, XI, backend="numpy")
     assert via_mapped.result.mapping == reference.result.mapping
     assert via_mapped.quality == reference.quality
 
@@ -170,35 +178,41 @@ def test_mmap_cold_start(tmp_path, bench_json):
     store.save(prepared)
     # The warm phase runs one full verification, leaving the sidecar a
     # restarted fleet's mapped opens key off (exactly what
-    # ``index warm --backend mmap`` does).
+    # ``index warm --backend numpy`` does).
     assert store.payload_region(prepared.fingerprint, verify="full") is not None
 
     seconds = {}
-    for name in ("numpy", "mmap"):
+    for hydration in HYDRATIONS:
         best = float("inf")
         for _ in range(3):
             gc.collect()
-            best = min(best, _hydrate_seconds(str(tmp_path), name, graph))
-        seconds[name] = best
+            best = min(best, _hydrate_seconds(str(tmp_path), hydration, graph))
+        seconds[hydration] = best
     speedup = (
-        seconds["numpy"] / seconds["mmap"] if seconds["mmap"] > 0 else float("inf")
+        seconds["decoded"] / seconds["mapped"]
+        if seconds["mapped"] > 0
+        else float("inf")
     )
     print(
-        f"\ncold hydration: numpy={seconds['numpy'] * 1e3:.2f}ms "
-        f"mmap={seconds['mmap'] * 1e3:.2f}ms speedup={speedup:.1f}x "
+        f"\ncold hydration: decoded={seconds['decoded'] * 1e3:.2f}ms "
+        f"mapped={seconds['mapped'] * 1e3:.2f}ms speedup={speedup:.1f}x "
         f"on |V2|={COLD_NODES}"
     )
 
     # Bit-identity of the first match served from each hydration.
     mappings = {}
-    for name in ("python", "numpy", "mmap"):
+    for name, (service_backend, solve_backend) in {
+        "python": ("python", "python"),
+        "decoded": ("python", "numpy"),
+        "mapped": ("numpy", "numpy"),
+    }.items():
         service = MatchingService(
-            max_prepared=RSS_LRU, store_dir=str(tmp_path), backend=name
+            max_prepared=RSS_LRU, store_dir=str(tmp_path), backend=service_backend
         )
-        report = service.match(pattern, graph, mat, XI)
+        report = service.match(pattern, graph, mat, XI, backend=solve_backend)
         mappings[name] = (report.matched, report.quality, report.result.mapping)
-    assert mappings["mmap"] == mappings["python"]
-    assert mappings["numpy"] == mappings["python"]
+    assert mappings["decoded"] == mappings["python"]
+    assert mappings["mapped"] == mappings["python"]
 
     _emit(
         bench_json,
@@ -207,8 +221,8 @@ def test_mmap_cold_start(tmp_path, bench_json):
             "data_nodes": COLD_NODES,
             "pattern_nodes": 30,
             "xi": XI,
-            "numpy_seconds": seconds["numpy"],
-            "mmap_seconds": seconds["mmap"],
+            "decoded_seconds": seconds["decoded"],
+            "mapped_seconds": seconds["mapped"],
             "speedup": speedup,
             "min_speedup": MIN_COLD_SPEEDUP,
             "identical_reports": True,
@@ -238,7 +252,7 @@ for _ in range(config["rounds"]):
         data = load_json(data_path)
         pattern = load_json(pattern_path)
         mat = label_equality_matrix(pattern, data)
-        report = service.match(pattern, data, mat, config["xi"])
+        report = service.match(pattern, data, mat, config["xi"], backend="numpy")
         results.append(
             [report.matched, report.quality, sorted(map(str, report.result.mapping.items()))]
         )
@@ -250,11 +264,11 @@ print(json.dumps({
 """
 
 
-def _serve_corpus_in_child(backend_name: str, config: dict) -> dict:
+def _serve_corpus_in_child(hydration: str, config: dict) -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    payload = json.dumps(dict(config, backend=backend_name))
+    payload = json.dumps(dict(config, backend=HYDRATIONS[hydration]))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, payload],
         capture_output=True,
@@ -292,7 +306,8 @@ def test_mmap_rss_bounded(tmp_path, bench_json):
         "xi": XI,
     }
     children = {
-        name: _serve_corpus_in_child(name, config) for name in ("numpy", "mmap")
+        hydration: _serve_corpus_in_child(hydration, config)
+        for hydration in HYDRATIONS
     }
 
     for name, child in children.items():
@@ -301,16 +316,18 @@ def test_mmap_rss_bounded(tmp_path, bench_json):
         # Every round after the first re-loads evicted entries: the
         # corpus genuinely exceeds the LRU.
         assert stats["disk_hits"] >= RSS_GRAPHS + (RSS_GRAPHS - RSS_LRU), name
-    assert children["mmap"]["stats"]["mmap_opens"] > 0
-    assert children["mmap"]["stats"]["mapped_bytes"] > 0
+        assert stats["solved_by"] == {"numpy": len(child["results"])}, name
+    assert children["decoded"]["stats"]["mmap_opens"] == 0
+    assert children["mapped"]["stats"]["mmap_opens"] > 0
+    assert children["mapped"]["stats"]["mapped_bytes"] > 0
     # Identical answers from both children, pattern by pattern.
-    assert children["mmap"]["results"] == children["numpy"]["results"]
+    assert children["mapped"]["results"] == children["decoded"]["results"]
 
     peaks = {name: child["peak_rss_kb"] for name, child in children.items()}
     print(
         f"\npeak RSS over {RSS_GRAPHS}x{RSS_NODES}-node corpus (LRU={RSS_LRU}): "
-        f"numpy={peaks['numpy']}KiB mmap={peaks['mmap']}KiB "
-        f"saved={peaks['numpy'] - peaks['mmap']}KiB"
+        f"decoded={peaks['decoded']}KiB mapped={peaks['mapped']}KiB "
+        f"saved={peaks['decoded'] - peaks['mapped']}KiB"
     )
     _emit(
         bench_json,
@@ -320,11 +337,11 @@ def test_mmap_rss_bounded(tmp_path, bench_json):
             "graph_nodes": RSS_NODES,
             "lru_slots": RSS_LRU,
             "rounds": RSS_ROUNDS,
-            "numpy_peak_rss_kb": peaks["numpy"],
-            "mmap_peak_rss_kb": peaks["mmap"],
-            "numpy_stats": children["numpy"]["stats"],
-            "mmap_stats": children["mmap"]["stats"],
+            "decoded_peak_rss_kb": peaks["decoded"],
+            "mapped_peak_rss_kb": peaks["mapped"],
+            "decoded_stats": children["decoded"]["stats"],
+            "mapped_stats": children["mapped"]["stats"],
             "identical_results": True,
         },
     )
-    assert peaks["mmap"] < peaks["numpy"], peaks
+    assert peaks["mapped"] < peaks["decoded"], peaks

@@ -33,19 +33,22 @@ pair — ``index rm --older-than SECONDS`` (age-based) and ``index gc
 --max-bytes N`` (size budget, oldest-mtime evicted first) — keeps a
 long-lived fleet's store bounded.
 
-``--backend {python,numpy,mmap}`` (on ``match``, ``batch`` and ``index
-warm``) selects the solver mask representation — results are
-bit-identical, only speed differs; the ``REPRO_BACKEND`` environment
-variable changes the default.  Output summaries record which backend
-served (``backend`` / ``solved_by``) so operators can audit a fleet.
-The ``mmap`` backend hydrates warm-store indexes *zero-copy*: the store
-file is memory-mapped and the mask rows are served straight off the
-mapped pages (``mmap_opens`` / ``mapped_bytes`` in the service stats),
-so cold starts skip the payload decode and resident memory tracks the
-working set.  ``index warm --backend mmap`` verifies exactly that path
-(its report lines say ``"hydration": "mapped"`` vs ``"decoded"``), and
-``index ls --json`` carries ``payload_bytes`` / ``mask_section_bytes``
-per entry so operators can size page-cache budgets.
+``--backend {python,numpy}`` (on ``match``, ``batch`` and ``index
+warm``; ``mmap`` is an alias of ``numpy``) selects the solver mask
+representation — results are bit-identical, only speed differs; the
+``REPRO_BACKEND`` environment variable changes the default.  Output
+summaries record which backend served (``backend`` / ``solved_by``) so
+operators can audit a fleet.  The ``numpy`` backend hydrates warm-store
+indexes *zero-copy*: the store file is memory-mapped and the mask rows
+are served straight off the mapped pages (``mmap_opens`` /
+``mapped_bytes`` in the service stats), so cold starts skip the payload
+decode and resident memory tracks the working set.  ``index warm
+--backend numpy`` verifies exactly that path (its report lines say
+``"hydration": "mapped"``; the ``python`` reference says
+``"decoded"``), and ``index ls --json`` carries ``payload_bytes`` /
+``mask_section_bytes`` per entry so operators can size page-cache
+budgets.  Store files are format version 3; a file in an older format
+is rebuilt on first use.
 
 ``--prefilter {auto,off,strict}`` (on ``match`` and ``batch``) engages
 the candidate-pruning pipeline (:mod:`repro.core.prefilter`): ``auto``
@@ -70,7 +73,7 @@ its cached index when a served graph mutates (``delta_hits`` /
 record* against the stored base instead of rewriting the full payload —
 for a small edit the write shrinks by the touched-row fraction, and
 hydration replays the chain (or serves it as copy-on-write overlay rows
-under the ``mmap`` backend).  Chains cap at
+under the ``numpy`` backend).  Chains cap at
 :data:`~repro.core.store.CHAIN_DEPTH_MAX`; at the cap the store writes a
 fresh full base automatically (``"action": "compacted"``), and ``index
 compact`` forces that flatten on demand.  ``index ls --json`` carries
@@ -117,8 +120,9 @@ __all__ = ["main"]
 
 #: Shared ``--backend`` help string (match / batch / index warm).
 BACKEND_HELP = (
-    "solver backend (default: REPRO_BACKEND or 'python'); "
-    "results are identical across backends, only speed differs"
+    "solver backend (default: REPRO_BACKEND or 'python'); 'mmap' is an "
+    "alias of 'numpy', whose store hits are memory-mapped; results are "
+    "identical across backends, only speed differs"
 )
 
 #: Shared ``--prefilter`` help string (match / batch).
@@ -299,7 +303,7 @@ def _hydration_check(
 ) -> str:
     """Hydrate the warmed index's rows the way the serving fleet would.
 
-    An mmap-capable backend re-opens the stored file *zero-copy* — which
+    A mapping backend (``numpy``) re-opens the stored file *zero-copy* — which
     both proves the file is mappable and performs (and sidecar-caches)
     the full content verification, so the fleet's first mapped open can
     skip whole-file hashing.  Every other backend decodes the in-memory
@@ -329,7 +333,7 @@ def _warm_one(
     "exists" only counts when the stored file actually loads — a corrupt
     or stale file must be rebuilt, not reported as warm.  ``--backend``
     additionally hydrates the index's rows under the named backend (for
-    ``mmap``, by re-opening the stored file zero-copy), both as a
+    ``numpy``, by re-opening the stored file zero-copy), both as a
     verification pass and so the warm's cost profile matches the serving
     fleet's; the report line says which hydration mode ran.
     """

@@ -10,7 +10,6 @@ next to the PEP 8 ones.
 """
 
 from repro.core.backends import (
-    NumpyBlockBackend,
     PythonIntBackend,
     SolverBackend,
     available_backends,
@@ -91,7 +90,6 @@ compMaxSim_1_1 = comp_max_sim_injective
 __all__ = [
     "SolverBackend",
     "PythonIntBackend",
-    "NumpyBlockBackend",
     "available_backends",
     "get_backend",
     "PHomResult",

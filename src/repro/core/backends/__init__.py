@@ -3,24 +3,21 @@
 The engine (:mod:`repro.core.engine`) is generic over a
 :class:`~repro.core.backends.base.SolverBackend` that owns the candidate
 mask representation; this package holds the protocol, the registry, and
-the three implementations:
+the two implementations:
 
 ``"python"`` — :class:`~repro.core.backends.python_int.PythonIntBackend`
     the reference: big-int bitmask rows, the seed implementation's exact
     semantics.  Always available; the default.
 
-``"numpy"`` — :class:`~repro.core.backends.numpy_block.NumpyBlockBackend`
+``"numpy"`` — :class:`~repro.core.backends.mmap_block.MmapBlockBackend`
     masks as ``uint64`` block matrices with vectorized trimMatching
-    row-ANDs and ``bitwise_count``/SWAR popcounts.  Bit-identical
-    results; requires numpy.
-
-``"mmap"`` — :class:`~repro.core.backends.mmap_block.MmapBlockBackend`
-    the same uint64-block kernels, but closure matrices hydrate as
-    zero-copy views over ``mmap``-ed store files
+    row-ANDs and ``bitwise_count``/SWAR popcounts
+    (:class:`~repro.core.backends.numpy_block.BlockBackendBase`).  Store
+    hits hydrate as zero-copy views over ``mmap``-ed store files
     (:meth:`~repro.core.store.PreparedIndexStore.payload_region`), so a
     warm store serves first matches without decoding payloads and
     resident memory tracks the working set.  Bit-identical results;
-    requires numpy.
+    requires numpy.  ``"mmap"`` is an alias for the same backend.
 
 Selection: pass ``backend=`` (a name or a backend instance) anywhere the
 matching stack accepts it — :func:`repro.core.api.match`,
@@ -38,15 +35,10 @@ from repro.core.backends.base import MatchingList, SolverBackend
 from repro.core.backends.python_int import PythonIntBackend, PythonMatchingList
 from repro.core.backends.numpy_block import (
     BlockBackendBase,
-    NumpyBlockBackend,
     NumpyMatchingList,
     numpy_available,
 )
-from repro.core.backends.mmap_block import (
-    MappedPayload,
-    MmapBlockBackend,
-    mmap_available,
-)
+from repro.core.backends.mmap_block import MappedPayload, MmapBlockBackend
 from repro.utils.errors import InputError
 
 __all__ = [
@@ -55,7 +47,6 @@ __all__ = [
     "PythonIntBackend",
     "PythonMatchingList",
     "BlockBackendBase",
-    "NumpyBlockBackend",
     "NumpyMatchingList",
     "MappedPayload",
     "MmapBlockBackend",
@@ -64,10 +55,9 @@ __all__ = [
     "available_backends",
     "get_backend",
     "numpy_available",
-    "mmap_available",
 ]
 
-#: Every registered backend name, in preference/registration order.
+#: Every accepted backend name, in preference/registration order.
 BACKEND_NAMES: tuple[str, ...] = ("python", "numpy", "mmap")
 
 #: Environment variable supplying the process-default backend name.
@@ -75,9 +65,12 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 _FACTORIES = {
     "python": PythonIntBackend,
-    "numpy": NumpyBlockBackend,
-    "mmap": MmapBlockBackend,
+    "numpy": MmapBlockBackend,
 }
+
+#: Names that resolve to another backend's instance: ``"mmap"`` predates
+#: the numpy backend mapping its store hits.
+_ALIASES = {"mmap": "numpy"}
 
 #: Constructed backends are stateless — cache one instance per name.
 _instances: dict[str, SolverBackend] = {}
@@ -95,8 +88,9 @@ def available_backends() -> tuple[str, ...]:
 def get_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:
     """Resolve a backend: an instance, a registry name, or the default.
 
-    ``None`` consults ``REPRO_BACKEND`` and falls back to ``"python"``.
-    Unknown names — and known names whose dependency is missing — raise
+    ``None`` consults ``REPRO_BACKEND`` and falls back to ``"python"``;
+    ``"mmap"`` resolves to the ``"numpy"`` instance.  Unknown names —
+    and known names whose dependency is missing — raise
     :class:`~repro.utils.errors.InputError` before any expensive work.
     """
     if isinstance(spec, SolverBackend):
@@ -108,6 +102,7 @@ def get_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:
             f"solver backend must be a name or SolverBackend, got {spec!r}"
         )
     name = spec.strip().lower()
+    name = _ALIASES.get(name, name)
     if name not in _FACTORIES:
         raise InputError(
             f"unknown solver backend {spec!r}; choose one of {BACKEND_NAMES}"

@@ -125,8 +125,7 @@ class SolverBackend(ABC):
     :class:`~repro.core.workspace.MatchingWorkspace` respectively.
     """
 
-    #: Registry key (``"python"``, ``"numpy"``, ``"mmap"``) — also what
-    #: stats report.
+    #: Registry key (``"python"``, ``"numpy"``) — also what stats report.
     name: str = ""
 
     #: True for backends whose rows can hydrate directly from a mapped

@@ -1,14 +1,14 @@
-"""The zero-copy backend: closure rows as views over mapped store pages.
+"""The ``numpy`` backend: uint64-block kernels over mapped store pages.
 
-:class:`~repro.core.backends.numpy_block.NumpyBlockBackend` pays its
-cold start twice — once to read and checksum the store file, once to
-repack every big-int mask into a private ``(n, W)`` uint64 matrix.  For
-a layout-2 payload (:data:`~repro.core.prepared.PAYLOAD_LAYOUT`) the
-second step is pure ceremony: the mask section on disk *already is* the
-little-endian uint64 block matrix the kernels index, 8-byte aligned from
-the first ``from_mask`` row to the cycle row.  This backend therefore
-``mmap``s the store file and hands the kernels
-``np.frombuffer`` views over the mapped pages:
+Hydrating an index from the store costs a decoding backend twice — once
+to read and checksum the file, once to repack every big-int mask into a
+private ``(n, W)`` uint64 matrix.  For a store payload
+(:data:`~repro.core.prepared.PAYLOAD_LAYOUT`) the second step is pure
+ceremony: the mask section on disk *already is* the little-endian uint64
+block matrix the kernels index, 8-byte aligned from the first
+``from_mask`` row to the cycle row.  This backend therefore ``mmap``s
+the store file and hands the kernels ``np.frombuffer`` views over the
+mapped pages:
 
 * **O(1) cold start** — :meth:`MmapBlockBackend.open_payload` does no
   deserialization; first-match-after-restart costs page-ins for the rows
@@ -24,12 +24,14 @@ the first ``from_mask`` row to the cycle row.  This backend therefore
   in-place rewrite (the checksum differs) gets a fresh mapping instead
   of the stale pages.
 
-Solving behaviour is entirely inherited from
-:class:`~repro.core.backends.numpy_block.BlockBackendBase` — the kernels
-only ever index ``rows.from_rows[u]`` / ``rows.to_rows[u]`` one row at a
-time, so they cannot tell a private matrix from a file view.  Answers
-are bit-identical to both existing backends; only where the bytes live
-changes.
+Indexes that never came from a store (a cold build, an evolved chain
+that appended nodes, hop-bounded overrides) pack private matrices
+through the inherited ``build_rows``.  Solving behaviour is entirely
+inherited from :class:`~repro.core.backends.numpy_block.BlockBackendBase`
+— the kernels only ever index ``rows.from_rows[u]`` / ``rows.to_rows[u]``
+one row at a time, so they cannot tell a private matrix from a file
+view.  Answers are bit-identical to the ``python`` reference; only where
+the bytes live changes.  ``"mmap"`` is a registry alias for this backend.
 
 The mapped views are **read-only** (``mmap.ACCESS_READ``): writing
 through them raises.  Incremental evolution
@@ -49,32 +51,21 @@ then raises a :class:`~repro.utils.errors.InputError` naming the fix.
 
 from __future__ import annotations
 
-import json
 import mmap
 import threading
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.backends.numpy_block import (
-    BlockBackendBase,
-    _NumpyRows,
-    numpy_available,
-)
-from repro.core.prepared import PAYLOAD_LAYOUT, PreparedDataGraph
+from repro.core.backends.numpy_block import BlockBackendBase, _NumpyRows
+from repro.core.prepared import _parse_payload
 
 try:  # pragma: no cover - exercised only on numpy-less installs
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None
 
-__all__ = ["MappedPayload", "MmapBlockBackend", "mmap_available"]
-
-
-def mmap_available() -> bool:
-    """True iff the mmap backend is constructible (numpy importable —
-    ``mmap`` itself is stdlib)."""
-    return numpy_available()
+__all__ = ["MappedPayload", "MmapBlockBackend"]
 
 
 class _Mapping:
@@ -224,7 +215,7 @@ class MappedPayload:
 
     #: Decoded JSON payload header (fingerprint, counts, geometry).
     header: dict
-    #: Which backend's ``rows`` are pre-seeded (``"mmap"``).
+    #: Which backend's ``rows`` are pre-seeded (``"numpy"``).
     backend_name: str
     #: The :class:`_MappedRows` matrix views (pins the mapping).
     rows: _MappedRows
@@ -239,7 +230,7 @@ class MappedPayload:
     #: The validated :class:`~repro.core.store.PayloadRegion` opened.
     region: object = field(repr=False, default=None)
     #: Closure-sketch uint64 views over the payload's sketch section
-    #: (``None`` each when the payload predates sketches) — consumed by
+    #: (``None`` each when the payload has none) — consumed by
     #: ``PreparedDataGraph.from_mapped`` as in-place ``ClosureSketches``
     #: columns, exactly like the mask rows.
     out_card: object = field(repr=False, default=None)
@@ -249,16 +240,16 @@ class MappedPayload:
 
 
 class MmapBlockBackend(BlockBackendBase):
-    """uint64-block engine over mapped store pages; requires numpy.
+    """The ``numpy`` backend: uint64-block engine, store hits mapped.
 
-    ``build_rows`` (inherited) still packs private matrices — it is the
-    fallback for indexes that never came from a store, and for
-    hop-bounded mask overrides.  The zero-copy path is
-    :meth:`open_payload`, which the service's mapped tier drives via
+    ``build_rows`` (inherited) packs private matrices — the path for
+    indexes that never came from a store, and for hop-bounded mask
+    overrides.  Store hits take :meth:`open_payload`, which the
+    service's mapped tier drives via
     :meth:`~repro.core.store.PreparedIndexStore.payload_region`.
     """
 
-    name = "mmap"
+    name = "numpy"
     hydrates_mapped = True
 
     def open_payload(self, region) -> MappedPayload:
@@ -267,8 +258,7 @@ class MmapBlockBackend(BlockBackendBase):
         No payload bytes are copied or decoded beyond the JSON header
         line: the uint64 row matrices are ``np.frombuffer`` views over
         the shared mapping, read-only by construction.  Any geometry
-        defect — non-layout-2 payload, missing header newline, a mask
-        section whose extent disagrees with the header — raises
+        defect :func:`~repro.core.prepared._parse_payload` finds raises
         :class:`ValueError`; callers treat it as a store miss.
 
         A region carrying a :class:`~repro.core.store.ChainOverlay` (a
@@ -281,37 +271,20 @@ class MmapBlockBackend(BlockBackendBase):
         row, so the hydrated index resketches lazily (bit-identical).
         """
         mapping = _shared_mapping(region)
-        buffer = mapping.buffer
         start = region.payload_offset
-        end = start + region.payload_length
-        newline = buffer.find(b"\n", start, end)
-        if newline < 0:
-            raise ValueError("mapped payload has no header line")
-        header = json.loads(bytes(buffer[start:newline]))
-        if not isinstance(header, dict):
-            raise ValueError("mapped payload header is not a JSON object")
-        layout, n, width = PreparedDataGraph.header_geometry(header)
-        if layout != PAYLOAD_LAYOUT:
-            raise ValueError(f"payload layout {layout!r} is not mappable")
-        mask_start = newline + 1
-        mask_start += -mask_start % 8  # skip the alignment padding
-        section = (2 * n + 1) * width
-        with_sketch = bool(header.get("sketch"))
-        expected = section + (4 * 8 * n if with_sketch else 0)
-        if end - mask_start != expected:
-            raise ValueError("mapped mask section is truncated or oversized")
+        header, n, width, masks, sketch = _parse_payload(
+            mapping.buffer, start, start + region.payload_length
+        )
         words = width // 8
-        matrix = np.frombuffer(
-            buffer, dtype="<u8", count=(2 * n + 1) * words, offset=mask_start
-        ).reshape(2 * n + 1, words)
+        matrix = np.frombuffer(masks, dtype="<u8").reshape(2 * n + 1, words)
         from_rows = matrix[:n]
         to_rows = matrix[n : 2 * n]
         cycle_mask = int.from_bytes(matrix[2 * n].tobytes(), "little")
         overlay = getattr(region, "overlay", None)
         if overlay is not None:
-            def patched(base, masks):
+            def patched(base, replayed):
                 overrides = {}
-                for position, mask in masks.items():
+                for position, mask in replayed.items():
                     if not (isinstance(position, int) and 0 <= position < n):
                         raise ValueError("chain overlay row position out of range")
                     try:
@@ -331,19 +304,18 @@ class MmapBlockBackend(BlockBackendBase):
                 "prepare_seconds": overlay.prepare_seconds,
             }
             header.pop("sketch", None)
-            with_sketch = False  # base sketches are stale for evolved rows
+            sketch = None  # base sketches are stale for evolved rows
         from_ints = _MappedIntRows(from_rows)
         to_ints = _MappedIntRows(to_rows)
         rows = _MappedRows(
             from_rows, to_rows, from_ints, to_ints, n, words, mapping
         )
         sketch_columns = {}
-        if with_sketch:
-            sketch_start = mask_start + section
-            for slot, name in enumerate(("out_card", "in_card", "out_sig", "in_sig")):
-                sketch_columns[name] = np.frombuffer(
-                    buffer, dtype="<u8", count=n, offset=sketch_start + slot * 8 * n
-                )
+        if sketch is not None:
+            columns = np.frombuffer(sketch, dtype="<u8").reshape(4, n)
+            sketch_columns = dict(
+                zip(("out_card", "in_card", "out_sig", "in_sig"), columns)
+            )
         return MappedPayload(
             header=header,
             backend_name=self.name,
@@ -351,7 +323,7 @@ class MmapBlockBackend(BlockBackendBase):
             from_ints=from_ints,
             to_ints=to_ints,
             cycle_mask=cycle_mask,
-            mask_section_bytes=section,
+            mask_section_bytes=len(masks),
             region=region,
             **sketch_columns,
         )

@@ -1,4 +1,4 @@
-"""The vectorized backend: candidate masks as ``uint64`` block matrices.
+"""The vectorized kernels: candidate masks as ``uint64`` block matrices.
 
 Profiling the reference backend shows the greedy recursion's frames are
 bimodal: a short *spine* of wide matching lists (the ``H⁺`` chain of the
@@ -40,10 +40,13 @@ Popcounts use ``numpy.bitwise_count`` (NumPy ≥ 2.0) with a SWAR
 bit-identical to :class:`~repro.core.backends.python_int.PythonIntBackend`
 — the backend equivalence suite and ``benchmarks/bench_backends.py``
 assert it, including the pick order inside collapsed chains — only the
-time budget moves.
+time budget moves.  The ``numpy`` backend itself
+(:class:`~repro.core.backends.mmap_block.MmapBlockBackend`) adds where
+the row matrices live: views over mapped store pages, or private packs.
 
-The module imports without numpy installed; constructing the backend
-then raises a :class:`~repro.utils.errors.InputError` naming the fix.
+The module imports without numpy installed; constructing a block
+backend then raises a :class:`~repro.utils.errors.InputError` naming
+the fix.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "BlockBackendBase",
-    "NumpyBlockBackend",
     "NumpyMatchingList",
     "numpy_available",
     "SMALL_CUTOFF",
@@ -81,7 +83,7 @@ SMALL_CUTOFF = 48
 
 
 def numpy_available() -> bool:
-    """True iff numpy is importable (the backend is constructible)."""
+    """True iff numpy is importable (the ``numpy`` backend is constructible)."""
     return np is not None
 
 
@@ -363,17 +365,17 @@ class NumpyMatchingList(MatchingList):
 
 
 class BlockBackendBase(SolverBackend):
-    """The shared uint64-block kernel set behind every matrix backend.
+    """The uint64-block kernel set behind the ``numpy`` backend.
 
     Everything the engine touches — adaptive matching lists, dense
     trims, popcount picks, the collapsed trivial chains — lives here and
     operates through single-row indexing of ``context.rows.from_rows`` /
-    ``to_rows``, so subclasses choose only *where the row matrices
-    live*: :class:`NumpyBlockBackend` packs private copies from the
-    big-int masks, the mmap backend
-    (:class:`~repro.core.backends.mmap_block.MmapBlockBackend`) hands
-    back views over store-file pages.  Either way the kernels — and
-    therefore the answers — are byte-for-byte the same code.
+    ``to_rows``, so the subclass
+    (:class:`~repro.core.backends.mmap_block.MmapBlockBackend`) chooses
+    only *where the row matrices live*: private copies packed from the
+    big-int masks (:meth:`build_rows`), or views over store-file pages.
+    Either way the kernels — and therefore the answers — are
+    byte-for-byte the same code.
     """
 
     def __init__(self) -> None:
@@ -458,13 +460,3 @@ class BlockBackendBase(SolverBackend):
         return NumpyMatchingList(
             context, keys=keys, good=good, minus=np.zeros_like(good)
         )
-
-class NumpyBlockBackend(BlockBackendBase):
-    """Adaptive uint64-block / big-int engine; requires numpy.
-
-    Rows are packed into private ``(n, W)`` matrices from the prepared
-    index's big-int masks (`build_rows`); all solving behaviour comes
-    from :class:`BlockBackendBase`.
-    """
-
-    name = "numpy"

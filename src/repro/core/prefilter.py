@@ -19,8 +19,8 @@ of that, in three rungs:
      label hashes here", a clear bit proves the label set excludes
      every label hashing there).
 
-   Sketches persist in the store payload (v3 section, v2 read-compat)
-   and evolve incrementally with ``apply_delta``; the mmap backend views
+   Sketches persist in the store payload (an optional section) and
+   evolve incrementally with ``apply_delta``; the numpy backend views
    them in place like mask rows.
 
 2. **Transparent similarity gating** (:class:`LabelEqualitySimilarity`,
@@ -107,7 +107,7 @@ PREFILTER_MODES = ("auto", "off", "strict")
 
 #: Width of the hashed label-set signatures.  64 keeps a signature a
 #: single machine word: one per-node uint64 in the store payload, viewed
-#: in place by the mmap backend exactly like a mask-row word.
+#: in place by the numpy backend exactly like a mask-row word.
 SIG_BITS = 64
 
 
@@ -176,7 +176,7 @@ class ClosureSketches:
     Each field is a length-``n`` sequence aligned with the prepared
     index's node enumeration.  Plain lists of ints when built in
     process; uint64 array views over the store file when hydrated by the
-    mmap backend — consumers coerce entries with ``int()`` at the access
+    numpy backend — consumers coerce entries with ``int()`` at the access
     point.
     """
 

@@ -36,20 +36,86 @@ __all__ = ["PreparedDataGraph", "prepare_data_graph", "PAYLOAD_LAYOUT"]
 
 Node = Hashable
 
-#: Payload layout version written by :meth:`PreparedDataGraph.to_payload`.
-#: Layout 2 zero-pads the header line to an 8-byte boundary and rounds the
-#: row width up to whole little-endian uint64 words, so a store file whose
-#: payload starts 8-byte aligned (the v2 envelope guarantees this) can view
-#: the mask section in place as ``(2n+1, words)`` uint64 matrices — the
-#: mmap backend's zero-copy hydration.  Layout 1 (packed ``(n+7)//8``-byte
-#: rows, no padding) is still read.
+#: Payload layout written — and the only one read — by
+#: :meth:`PreparedDataGraph.to_payload` / :func:`_parse_payload`.  The
+#: header line is zero-padded to an 8-byte boundary and the row width
+#: rounded up to whole little-endian uint64 words, so a store file whose
+#: payload starts 8-byte aligned (the store envelope guarantees this) can
+#: view the mask section in place as ``(2n+1, words)`` uint64 matrices —
+#: the numpy backend's zero-copy hydration.
 PAYLOAD_LAYOUT = 2
 
 
 def _aligned_row_bytes(num_nodes: int) -> int:
-    """Layout-2 row width: whole uint64 words (≥ 1, so the cycle row of an
-    empty graph still occupies a well-formed row)."""
+    """Row width: whole uint64 words (≥ 1, so the cycle row of an empty
+    graph still occupies a well-formed row)."""
     return 8 * max(1, (num_nodes + 63) // 64)
+
+
+def _payload_head(prepared: "PreparedDataGraph", include_sketches: bool) -> bytes:
+    """The header line :meth:`PreparedDataGraph.to_payload` writes, padded
+    with zeros to the 8-byte boundary the mask section starts on."""
+    n = len(prepared.nodes2)
+    header = {
+        "fingerprint": prepared.fingerprint,
+        "num_nodes": n,
+        "num_edges": prepared.num_edges(),
+        "layout": PAYLOAD_LAYOUT,
+        "row_bytes": _aligned_row_bytes(n),
+        "node_reprs": [repr(node) for node in prepared.nodes2],
+        "prepare_seconds": prepared.prepare_seconds,
+    }
+    if include_sketches:
+        header["sketch"] = True
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
+    return head + b"\x00" * (-len(head) % 8)
+
+
+def _split_payload(buffer, start: int = 0, end: int | None = None):
+    """``(header, body)`` of the payload at ``buffer[start:end]``.
+
+    ``header`` is the decoded JSON header line; ``body`` a memoryview of
+    everything after the header's 8-byte alignment padding.  ``buffer``
+    may be payload bytes or a mapped store file: only the header line is
+    copied.  Raises :class:`ValueError` on a missing or non-object header.
+    """
+    end = len(buffer) if end is None else end
+    newline = buffer.find(b"\n", start, end)
+    if newline < 0:
+        raise ValueError("payload has no header line")
+    header = json.loads(bytes(buffer[start:newline]))
+    if not isinstance(header, dict):
+        raise ValueError("payload header is not a JSON object")
+    head = newline + 1 - start
+    return header, memoryview(buffer)[start + head + (-head % 8) : end]
+
+
+def _parse_payload(buffer, start: int = 0, end: int | None = None):
+    """The :meth:`PreparedDataGraph.to_payload` layout, checked and split.
+
+    ``(header, n, width, masks, sketch)``: ``masks`` views the ``2n+1``
+    rows of ``width`` bytes (``from_mask``, ``to_mask``, cycle row) and
+    ``sketch`` the four ``n``-entry uint64 sketch columns, or is ``None``
+    when the payload carries none.  Both are memoryviews over ``buffer``
+    (see :func:`_split_payload`), so a mapped payload is never copied.
+    Any geometry defect raises :class:`ValueError`.
+    """
+    header, body = _split_payload(buffer, start, end)
+    n, width = PreparedDataGraph.header_geometry(header)
+    mask_bytes = (2 * n + 1) * width
+    with_sketch = bool(header.get("sketch"))
+    if len(body) != mask_bytes + (4 * 8 * n if with_sketch else 0):
+        raise ValueError("payload mask section is truncated or oversized")
+    sketch = body[mask_bytes:] if with_sketch else None
+    return header, n, width, body[:mask_bytes], sketch
+
+
+def _int_rows(view, width: int) -> list[int]:
+    """The little-endian ``width``-byte rows of ``view`` as ints."""
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(view[i : i + width], "little") for i in range(0, len(view), width)
+    ]
 
 
 class PreparedDataGraph:
@@ -166,38 +232,23 @@ class PreparedDataGraph:
         The header records the fingerprint, node/edge counts, the node
         enumeration order (as ``repr`` strings — the order is part of the
         index semantics: bit *i* of every mask refers to ``nodes2[i]``),
-        and the original build time.  Mask rows follow as fixed-width
-        little-endian integers: ``from_mask`` rows, ``to_mask`` rows,
-        then the cycle mask.  Layout 2 (``"layout"`` in the header) pads
-        the header line to the next 8-byte boundary and uses whole-word
-        row widths, so the mask section is mappable in place (see
-        :data:`PAYLOAD_LAYOUT`).  File framing (magic, version,
-        checksum) is :mod:`repro.core.store`'s concern.
+        and the original build time.  It is padded to the next 8-byte
+        boundary, and mask rows follow as whole-word little-endian
+        integers: ``from_mask`` rows, ``to_mask`` rows, then the cycle
+        mask — mappable in place (see :data:`PAYLOAD_LAYOUT`).  File
+        framing (magic, version, checksum) is :mod:`repro.core.store`'s
+        concern; :func:`_parse_payload` reads the layout back.
 
         With ``include_sketches`` (the default), the per-node closure
         sketches follow the cycle row as four ``n × 8``-byte
         little-endian uint64 arrays — ``out_card``, ``in_card``,
         ``out_sig``, ``in_sig`` — and the header gains ``"sketch"``.
-        Readers without the key (payloads written before the prefilter
-        pipeline) simply recompute sketches lazily; the section start is
-        8-byte aligned (layout-2 rows are whole words), so the mmap
-        backend views each array in place.
+        Readers of a payload without the key recompute sketches lazily;
+        the section start is 8-byte aligned (rows are whole words), so
+        the numpy backend views each array in place.
         """
-        n = len(self.nodes2)
-        width = _aligned_row_bytes(n)
-        header = {
-            "fingerprint": self.fingerprint,
-            "num_nodes": n,
-            "num_edges": self._num_edges,
-            "layout": PAYLOAD_LAYOUT,
-            "row_bytes": width,
-            "node_reprs": [repr(node) for node in self.nodes2],
-            "prepare_seconds": self.prepare_seconds,
-        }
-        if include_sketches:
-            header["sketch"] = True
-        head = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
-        parts = [head, b"\x00" * (-len(head) % 8)]
+        width = _aligned_row_bytes(len(self.nodes2))
+        parts = [_payload_head(self, include_sketches)]
         parts.extend(mask.to_bytes(width, "little") for mask in self.from_mask)
         parts.extend(mask.to_bytes(width, "little") for mask in self.to_mask)
         parts.append(self.cycle_mask.to_bytes(width, "little"))
@@ -215,33 +266,25 @@ class PreparedDataGraph:
     @staticmethod
     def payload_header(payload: bytes) -> dict:
         """The decoded JSON header of a payload (no mask validation)."""
-        header = json.loads(payload[: payload.index(b"\n")])
-        if not isinstance(header, dict):
-            raise ValueError("payload header is not a JSON object")
-        return header
+        return _split_payload(payload)[0]
 
     @staticmethod
-    def header_geometry(header: dict) -> tuple[int, int, int]:
-        """``(layout, num_nodes, row_bytes)`` of a payload header, checked.
+    def header_geometry(header: dict) -> tuple[int, int]:
+        """``(num_nodes, row_bytes)`` of a payload header, checked.
 
-        Raises :class:`ValueError` on an unknown layout or a row width
-        inconsistent with the node count — the one header defect that
-        would silently misalign every mask row after it.
+        Raises :class:`ValueError` on a layout other than
+        :data:`PAYLOAD_LAYOUT` or a row width inconsistent with the node
+        count — the one header defect that would silently misalign every
+        mask row after it.
         """
-        layout = header.get("layout", 1)
+        layout = header.get("layout")
+        if layout != PAYLOAD_LAYOUT:
+            raise ValueError(f"unknown payload layout {layout!r}")
         n = header["num_nodes"]
         width = header["row_bytes"]
-        if not (isinstance(n, int) and isinstance(width, int) and n >= 0):
+        if not (isinstance(n, int) and n >= 0 and width == _aligned_row_bytes(n)):
             raise ValueError("inconsistent payload header geometry")
-        if layout == 1:
-            expected = (n + 7) // 8
-        elif layout == PAYLOAD_LAYOUT:
-            expected = _aligned_row_bytes(n)
-        else:
-            raise ValueError(f"unknown payload layout {layout!r}")
-        if width != expected:
-            raise ValueError("inconsistent payload header geometry")
-        return layout, n, width
+        return n, width
 
     @classmethod
     def from_payload(cls, graph2: DiGraph, payload: bytes) -> "PreparedDataGraph":
@@ -253,55 +296,29 @@ class PreparedDataGraph:
         truncated payload) raises :class:`ValueError`.  The store layer
         treats such failures as cache misses.
         """
-        header = cls.payload_header(payload)
-        layout, n, width = cls.header_geometry(header)
+        header, n, width, masks, sketch = _parse_payload(payload)
         if graph2.num_nodes() != n or graph2.num_edges() != header["num_edges"]:
             raise ValueError("payload does not describe this graph (counts differ)")
-        nodes2 = list(graph2.nodes())
-        if [repr(node) for node in nodes2] != header["node_reprs"]:
+        if [repr(node) for node in graph2.nodes()] != header["node_reprs"]:
             raise ValueError("payload node order differs from the graph's")
-        # Zero-copy row decoding: a loaded index should cost I/O plus
-        # int.from_bytes, not an extra megabyte of slice copies.
-        mask_offset = payload.index(b"\n") + 1
-        if layout != 1:
-            mask_offset += -mask_offset % 8  # skip the alignment padding
-        body = memoryview(payload)[mask_offset:]
-        mask_section = (2 * n + 1) * width
-        with_sketch = bool(header.get("sketch"))
-        expected = mask_section + (4 * 8 * n if with_sketch else 0)
-        if len(body) != expected:
-            raise ValueError("payload mask section is truncated or oversized")
-
-        self = cls.__new__(cls)
-        self.graph = graph2
-        self.nodes2 = nodes2
-        self.index2 = {node: i for i, node in enumerate(nodes2)}
-        self._num_edges = header["num_edges"]
-        from_bytes = int.from_bytes
-        rows = [
-            from_bytes(body[i * width : (i + 1) * width], "little")
-            for i in range(2 * n + 1)
-        ]
-        self.from_mask = rows[:n]
-        self.to_mask = rows[n : 2 * n]
-        self.cycle_mask = rows[2 * n]
-        if with_sketch:
+        rows = _int_rows(masks, width)
+        self = cls.from_rows(
+            graph2,
+            rows[:n],
+            rows[n : 2 * n],
+            rows[2 * n],
+            fingerprint=header["fingerprint"],
+            num_edges=header["num_edges"],
+            # The *original* build cost — a loaded index never paid it again.
+            prepare_seconds=header["prepare_seconds"],
+        )
+        if sketch is not None:
             from repro.core.prefilter import ClosureSketches
 
-            tail = body[mask_section:]
-            columns = [
-                [
-                    from_bytes(tail[(c * n + i) * 8 : (c * n + i + 1) * 8], "little")
-                    for i in range(n)
-                ]
-                for c in range(4)
-            ]
-            self._sketches = ClosureSketches(*columns)
-        #: The *original* build cost — a loaded index never paid it again.
-        self.prepare_seconds = float(header["prepare_seconds"])
-        self._fingerprint = header["fingerprint"]
-        self._backend_rows = {}
-        self.delta_stats = None
+            columns = _int_rows(sketch, 8)
+            self._sketches = ClosureSketches(
+                *(columns[c * n : (c + 1) * n] for c in range(4))
+            )
         return self
 
     @classmethod
@@ -317,13 +334,13 @@ class PreparedDataGraph:
     ) -> "PreparedDataGraph":
         """An index shell around already-computed closure rows.
 
-        The store's chain-replay loader ends with exactly the rows a
-        cold build would produce (base payload plus replayed delta
-        records) and needs an index around them without re-deriving
-        anything.  The row lists are adopted by reference and must
-        already follow ``graph2``'s node enumeration order; counts are
-        checked (:class:`ValueError` on mismatch), content is the
-        caller's contract — same as every other ``__new__``-based path.
+        Every hydration ends here: a decoded payload, a mapped one, and
+        the store's chain-replay loader all hold exactly the rows a cold
+        build would produce and need an index around them without
+        re-deriving anything.  The row sequences are adopted by reference
+        and must already follow ``graph2``'s node enumeration order;
+        counts are checked (:class:`ValueError` on mismatch), content is
+        the caller's contract.
         """
         nodes2 = list(graph2.nodes())
         if len(from_mask) != len(nodes2) or len(to_mask) != len(nodes2):
@@ -362,20 +379,20 @@ class PreparedDataGraph:
         fingerprint mismatch; the service treats both as a miss.
         """
         header = payload.header
-        n = header["num_nodes"]
-        if graph2.num_nodes() != n or graph2.num_edges() != header["num_edges"]:
+        if graph2.num_edges() != header["num_edges"]:
             raise ValueError("mapped payload does not describe this graph (counts differ)")
         if fingerprint is not None and header["fingerprint"] != fingerprint:
             raise ValueError("mapped payload answers a different fingerprint")
-        self = cls.__new__(cls)
-        self.graph = graph2
-        self.nodes2 = list(graph2.nodes())
-        self.index2 = {node: i for i, node in enumerate(self.nodes2)}
-        self._num_edges = header["num_edges"]
-        self.from_mask = payload.from_ints
-        self.to_mask = payload.to_ints
-        self.cycle_mask = payload.cycle_mask
-        if getattr(payload, "out_card", None) is not None:
+        self = cls.from_rows(
+            graph2,
+            payload.from_ints,
+            payload.to_ints,
+            payload.cycle_mask,
+            fingerprint=header["fingerprint"],
+            num_edges=header["num_edges"],
+            prepare_seconds=header["prepare_seconds"],
+        )
+        if payload.out_card is not None:
             from repro.core.prefilter import ClosureSketches
 
             # Sketch arrays are uint64 views over the mapped file —
@@ -383,12 +400,9 @@ class PreparedDataGraph:
             self._sketches = ClosureSketches(
                 payload.out_card, payload.in_card, payload.out_sig, payload.in_sig
             )
-        self.prepare_seconds = float(header["prepare_seconds"])
-        self._fingerprint = header["fingerprint"]
         # Pre-seed the opening backend's native rows: they already exist
         # (matrix views over the mapping), so build_rows must never run.
         self._backend_rows = {payload.backend_name: payload.rows}
-        self.delta_stats = None
         self.mapped = payload
         return self
 
@@ -439,21 +453,13 @@ class PreparedDataGraph:
         wants a different in-memory layout converts here, once per data
         graph instead of once per pattern.  Thread-safety note: a race
         costs at most a duplicate conversion (last write wins), never a
-        wrong answer — the rows are pure functions of the masks.
+        wrong answer — the rows are pure functions of the masks.  A
+        mapped index (:meth:`from_mapped`) starts with its opening
+        backend's rows cached: the matrix views over the file.
         """
         rows = self._backend_rows.get(backend.name)
         if rows is None:
-            mapped = self.mapped
-            if mapped is not None and backend.name == mapped.backend_name:
-                # File-backed hydration: a mapped index's native rows are
-                # the matrix views its open created (keyed by store path +
-                # fingerprint inside the backend's mapping cache) — reuse
-                # them instead of packing the lazy big-int adapters.
-                rows = mapped.rows
-            else:
-                rows = backend.build_rows(
-                    self.from_mask, self.to_mask, len(self.nodes2)
-                )
+            rows = backend.build_rows(self.from_mask, self.to_mask, len(self.nodes2))
             self._backend_rows[backend.name] = rows
         return rows
 

@@ -154,7 +154,7 @@ class ServiceStats:
     #: Disk-store lookups that found no usable file (two-tier cache only).
     disk_misses: int = 0
     #: Disk hits served by *mapping* the store file in place instead of
-    #: decoding the payload (``backend="mmap"`` services only — also
+    #: decoding the payload (``backend="numpy"`` services only — also
     #: counted in ``disk_hits``).
     mmap_opens: int = 0
     #: Payload bytes those mapped opens cover — what the OS may page in,
@@ -423,7 +423,8 @@ class PreparedGraphCache:
         recomputes only the rows the mutations touched), then a
         **zero-copy mapped open** of the store file (mmap-capable
         backends only — no payload decode, counted in ``mmap_opens`` /
-        ``mapped_bytes``), then a decoding disk load, then a cold build.
+        ``mapped_bytes``), then a decoding disk load (the ``python``
+        backend, and chains that appended nodes), then a cold build.
         Evolved and built indexes are both persisted best-effort, so the
         store always holds the graph's *current* fingerprint.
         """
@@ -459,15 +460,15 @@ class PreparedGraphCache:
         """Zero-copy store hydration: view the file, decode nothing.
 
         Only runs for a cache backend that ``hydrates_mapped`` (the
-        ``"mmap"`` backend): :meth:`~repro.core.store.PreparedIndexStore.payload_region`
+        ``"numpy"`` backend): :meth:`~repro.core.store.PreparedIndexStore.payload_region`
         validates the file (header-mode — the sidecar lets repeat opens
         skip whole-file hashing), ``open_payload`` views the mask section
         over a shared mapping, and
         :meth:`~repro.core.prepared.PreparedDataGraph.from_mapped` wraps
-        it without touching a mask byte.  Every defect — v1 files,
-        geometry drift, a concurrent rewrite — returns ``None`` and the
-        slower tiers take over; corruption degrades to a rebuild, never
-        a crash.
+        it without touching a mask byte.  Every defect — an older file
+        format, geometry drift, a concurrent rewrite — returns ``None``
+        and the slower tiers take over; corruption degrades to a
+        rebuild, never a crash.
         """
         backend = self.backend
         if backend is None or not backend.hydrates_mapped:

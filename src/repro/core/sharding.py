@@ -526,8 +526,8 @@ class ShardedMatchingService:
     (``chain_writes`` / ``chain_bytes_saved`` in the aggregate snapshot)
     instead of full payload rewrites — the streaming-graph write path.
 
-    Under ``backend="mmap"`` the shared store pays off twice: each
-    worker's disk tier becomes a zero-copy mapped open, and the mmap
+    Under ``backend="numpy"`` the shared store pays off twice: each
+    worker's disk tier becomes a zero-copy mapped open, and the numpy
     backend interns mappings process-wide by file identity, so every
     worker (and the spill worker) serving one fingerprint shares a
     single mapping — one OS page cache per prepared graph, no matter

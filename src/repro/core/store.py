@@ -15,7 +15,7 @@ the transitive closure.
     — so invalidation stays automatic: a mutated graph hashes to a new
     file name and the old file is simply never requested again).
 
-File format (version 3; version-1 and -2 files are still read)::
+File format (version 3)::
 
     magic    8 bytes   b"RPHOMIDX"
     version  4 bytes   little-endian uint32
@@ -24,16 +24,16 @@ File format (version 3; version-1 and -2 files are still read)::
     checksum 32 bytes  sha256 of the payload
     payload            PreparedDataGraph.to_payload() bytes
 
-The version-2/3 envelope is 56 bytes, so the payload — whose layout-2
-mask section is itself 8-byte aligned within the payload — lands with
-every mask row on an 8-byte file offset.  That alignment is what lets
-the mmap backend view the mask section in place as uint64 matrices
+The envelope is 56 bytes, so the payload — whose mask section is itself
+8-byte aligned within the payload — lands with every mask row on an
+8-byte file offset.  That alignment is what lets the numpy backend view
+the mask section in place as uint64 matrices
 (:meth:`PreparedIndexStore.payload_region` hands it the coordinates).
-The version-1 envelope (52 bytes, packed rows) still loads through the
-decode path; it is simply never mappable.
+Only version 3 is read: a file in an older format reads as a miss, so
+the first request rebuilds the index and ``save`` rewrites the file.
 
-Delta chains (version 3)
-------------------------
+Delta chains
+------------
 A long mutation stream evolves one index into the next with only a
 handful of changed closure rows per step, yet a plain ``save()`` of the
 evolved index rewrites the **entire** payload — for a 2000-node graph
@@ -65,7 +65,7 @@ replay against it, and a chain's age is its newest member's.
 
 Writes are atomic (tmp file + ``os.replace``) so a concurrent reader
 never observes a half-written index, and loads are corruption-tolerant:
-*any* defect — missing file, bad magic, unknown version, checksum or
+*any* defect — missing file, bad magic, other version, checksum or
 length mismatch, malformed header, truncated masks, stale content, a
 broken or cyclic delta chain — is reported as a miss (``None``), never
 an exception.  A corrupt file costs one rebuild, exactly like a cold
@@ -75,7 +75,7 @@ Verification modes: ``load``/``payload_region`` accept
 ``verify="full"`` (hash the whole payload against the envelope
 checksum — the default for ``load``) or ``verify="header"`` (envelope
 sanity plus a stat comparison against a ``<name>.ok`` *sidecar* left by
-the first full verification of that file — the mmap open path, which
+the first full verification of that file — the mapped open path, which
 must not read every byte of a file it is about to lazily page in).  A
 missing or stale sidecar silently upgrades to a full verification that
 refreshes it, so header mode is never weaker than "hashed once since
@@ -97,6 +97,10 @@ from repro.core.prepared import (
     PAYLOAD_LAYOUT,
     PreparedDataGraph,
     _aligned_row_bytes,
+    _int_rows,
+    _parse_payload,
+    _payload_head,
+    _split_payload,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.fingerprint import is_fingerprint
@@ -116,17 +120,11 @@ __all__ = [
 _MAGIC = b"RPHOMIDX"
 #: Magic of delta-record files (same envelope shape as index files).
 DELTA_MAGIC = b"RPHOMDLT"
-#: Envelope byte count per readable version (v2 adds 4 reserved bytes so
-#: the payload starts at a file offset divisible by 8; v3 keeps the v2
-#: shape and marks stores whose writers speak delta chains).
-_ENVELOPE_LEN = {
-    1: len(_MAGIC) + 4 + 8 + 32,
-    2: len(_MAGIC) + 4 + 4 + 8 + 32,
-    3: len(_MAGIC) + 4 + 4 + 8 + 32,
-}
+#: Envelope byte count: magic, version, 4 reserved bytes (so the payload
+#: starts at a file offset divisible by 8), length, checksum.
+_ENVELOPE_LEN = len(_MAGIC) + 4 + 4 + 8 + 32
 
-#: On-disk format version written by ``save``; every version listed in
-#: ``_ENVELOPE_LEN`` is read.
+#: On-disk format version written by ``save`` — and the only one read.
 STORE_VERSION = 3
 
 #: File name suffix of index files (``<fingerprint>.phomidx``).
@@ -151,28 +149,22 @@ SIDECAR_SUFFIX = ".ok"
 _tmp_counter = itertools.count()
 
 
-def _parse_envelope(
-    blob: bytes, magic: bytes = _MAGIC
-) -> tuple[int, int, int, bytes] | None:
-    """``(version, payload_offset, length, checksum)``; ``None`` if malformed.
+def _parse_envelope(blob: bytes, magic: bytes = _MAGIC) -> tuple[int, bytes] | None:
+    """``(length, checksum)`` of a :data:`STORE_VERSION` envelope; ``None``
+    if malformed or another version.
 
     ``blob`` needs only the envelope bytes — callers validate the payload
-    length against whatever they actually hold (a full read or a stat).
+    length against whatever they actually hold (a full read or a stat);
+    the payload starts at :data:`_ENVELOPE_LEN`.
     """
-    if not blob.startswith(magic) or len(blob) < _ENVELOPE_LEN[1]:
+    if (
+        len(blob) < _ENVELOPE_LEN
+        or not blob.startswith(magic)
+        or int.from_bytes(blob[8:12], "little") != STORE_VERSION
+        or blob[12:16] != b"\x00\x00\x00\x00"  # reserved bytes must be zero
+    ):
         return None
-    version = int.from_bytes(blob[8:12], "little")
-    envelope_len = _ENVELOPE_LEN.get(version)
-    if envelope_len is None or len(blob) < envelope_len:
-        return None
-    offset = 12
-    if version >= 2:
-        if blob[offset : offset + 4] != b"\x00\x00\x00\x00":
-            return None  # reserved bytes must be zero
-        offset += 4
-    length = int.from_bytes(blob[offset : offset + 8], "little")
-    checksum = blob[offset + 8 : offset + 40]
-    return version, envelope_len, length, checksum
+    return int.from_bytes(blob[16:24], "little"), blob[24:_ENVELOPE_LEN]
 
 
 def _envelope(magic: bytes, payload: bytes) -> bytes:
@@ -188,37 +180,6 @@ def _envelope(magic: bytes, payload: bytes) -> bytes:
     )
 
 
-def _decode_mask_rows(payload: bytes) -> tuple[dict, list[int], list[int], int]:
-    """Decode a full index payload without a graph to validate against.
-
-    ``(header, from_rows, to_rows, cycle_mask)`` — the chain-replay
-    loader's view of a base payload: the rows and the header's own
-    ``node_reprs``, with every geometry defect raising
-    :class:`ValueError` exactly like
-    :meth:`~repro.core.prepared.PreparedDataGraph.from_payload` (any
-    sketch section is ignored; replayed indexes resketch lazily).
-    """
-    header = PreparedDataGraph.payload_header(payload)
-    layout, n, width = PreparedDataGraph.header_geometry(header)
-    reprs = header["node_reprs"]
-    if not isinstance(reprs, list) or len(reprs) != n:
-        raise ValueError("payload node_reprs disagree with the node count")
-    mask_offset = payload.index(b"\n") + 1
-    if layout != 1:
-        mask_offset += -mask_offset % 8
-    body = memoryview(payload)[mask_offset:]
-    mask_section = (2 * n + 1) * width
-    expected = mask_section + (4 * 8 * n if header.get("sketch") else 0)
-    if len(body) != expected:
-        raise ValueError("payload mask section is truncated or oversized")
-    from_bytes = int.from_bytes
-    rows = [
-        from_bytes(body[i * width : (i + 1) * width], "little")
-        for i in range(2 * n + 1)
-    ]
-    return header, rows[:n], rows[n : 2 * n], rows[2 * n]
-
-
 def _decode_delta(
     payload: bytes,
 ) -> tuple[dict, dict[int, int], dict[int, int], int]:
@@ -229,10 +190,8 @@ def _decode_delta(
     width.  Raises :class:`ValueError` on any structural defect; the
     store layer treats that as a broken chain (a miss).
     """
-    header = PreparedDataGraph.payload_header(payload)
-    layout, n, width = PreparedDataGraph.header_geometry(header)
-    if layout != PAYLOAD_LAYOUT:
-        raise ValueError(f"delta records require layout {PAYLOAD_LAYOUT}")
+    header, body = _split_payload(payload)
+    n, width = PreparedDataGraph.header_geometry(header)
     base = header.get("base")
     if not (isinstance(base, str) and is_fingerprint(base)):
         raise ValueError("delta record names no base fingerprint")
@@ -252,43 +211,25 @@ def _decode_delta(
     for position in itertools.chain(from_positions, to_positions):
         if not (isinstance(position, int) and 0 <= position < n):
             raise ValueError("delta row position out of range")
-    mask_offset = payload.index(b"\n") + 1
-    mask_offset += -mask_offset % 8
-    body = memoryview(payload)[mask_offset:]
     count = len(from_positions) + len(to_positions) + 1
     if len(body) != count * width:
         raise ValueError("delta mask section is truncated or oversized")
-    from_bytes = int.from_bytes
-    decoded = [
-        from_bytes(body[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
+    decoded = _int_rows(body, width)
     split = len(from_positions)
     from_rows = dict(zip(from_positions, decoded[:split]))
     to_rows = dict(zip(to_positions, decoded[split:-1]))
     return header, from_rows, to_rows, decoded[-1]
 
 
-def _estimate_full_bytes(prepared: PreparedDataGraph, n: int, width: int) -> int:
-    """Bytes a full ``save(prepared)`` would write (header computed for
+def _estimate_full_bytes(prepared: PreparedDataGraph) -> int:
+    """Bytes a full ``save(prepared)`` would write (header built for
     real, mask/sketch sections by geometry) — the write amplification a
     delta record avoids, without serialising any row to find out."""
-    header = {
-        "fingerprint": prepared.fingerprint,
-        "num_nodes": n,
-        "num_edges": prepared.num_edges(),
-        "layout": PAYLOAD_LAYOUT,
-        "row_bytes": width,
-        "node_reprs": [repr(node) for node in prepared.nodes2],
-        "prepare_seconds": prepared.prepare_seconds,
-        "sketch": True,
-    }
-    head = len(json.dumps(header, separators=(",", ":")).encode("utf-8")) + 1
+    n = len(prepared.nodes2)
     return (
-        _ENVELOPE_LEN[STORE_VERSION]
-        + head
-        + (-head % 8)
-        + (2 * n + 1) * width
+        _ENVELOPE_LEN
+        + len(_payload_head(prepared, include_sketches=True))
+        + (2 * n + 1) * _aligned_row_bytes(n)
         + 4 * 8 * n
     )
 
@@ -298,10 +239,11 @@ class StoreEntry:
     """Metadata of one stored index, as listed by ``index ls``.
 
     ``mtime`` is the file's modification time (the age the GC policies
-    act on) and ``version`` the envelope's on-disk format version — the
-    payload itself is backend-neutral, so fleet tooling scripting
-    warm/GC decisions off ``index ls --json`` needs no knowledge of
-    which solver backend will hydrate an index.  ``payload_bytes`` /
+    act on) and ``version`` the envelope's on-disk format version
+    (:data:`STORE_VERSION`, the only one read) — the payload itself is
+    backend-neutral, so fleet tooling scripting warm/GC decisions off
+    ``index ls --json`` needs no knowledge of which solver backend will
+    hydrate an index.  ``payload_bytes`` /
     ``mask_section_bytes`` split the file size into envelope + header vs
     the mask rows themselves — the mask section is what an mmap-serving
     fleet actually pages in, so it is the number operators budget page
@@ -369,11 +311,11 @@ class PayloadRegion:
     The stable coordinates :meth:`PreparedIndexStore.payload_region`
     hands to mmap-capable backends: map ``path``, and the payload is the
     ``payload_length`` bytes starting at ``payload_offset`` (a multiple
-    of 8 — only version-2+ files, whose layout-2 payloads keep mask rows
-    8-byte aligned, are ever described by a region).  ``file_size`` /
-    ``mtime_ns`` snapshot the stat identity the validation covered, so
-    mapping caches can key sharing on it and a concurrent rewrite shows
-    up as a different region rather than a silently different file.
+    of 8, so the payload's mask rows are 8-byte aligned in the file).
+    ``file_size`` / ``mtime_ns`` snapshot the stat identity the
+    validation covered, so mapping caches can key sharing on it and a
+    concurrent rewrite shows up as a different region rather than a
+    silently different file.
     ``payload_sha256`` is the envelope's payload checksum — the content
     identity mapping caches must *also* key on, because a rewrite to the
     same byte length within the filesystem's mtime granularity (an
@@ -455,13 +397,13 @@ class PreparedIndexStore:
             return None
         if self.path_for(fingerprint).is_file():
             return 0
-        read = self._read_payload(
+        payload = self._read_payload(
             self.delta_path_for(fingerprint), verify="header", magic=DELTA_MAGIC
         )
-        if read is None:
+        if payload is None:
             return None
         try:
-            depth = PreparedDataGraph.payload_header(read[0]).get("depth")
+            depth = PreparedDataGraph.payload_header(payload).get("depth")
         except (ValueError, KeyError, TypeError):
             return None
         return depth if isinstance(depth, int) and depth >= 1 else None
@@ -477,12 +419,10 @@ class PreparedIndexStore:
         listed = []
         for fingerprint in self.fingerprints():
             path = self.path_for(fingerprint)
-            read = self._read_payload(path)
-            if read is not None:
-                payload, version = read
+            payload = self._read_payload(path)
+            if payload is not None:
                 try:
-                    header = PreparedDataGraph.payload_header(payload)
-                    _, n, row_bytes = PreparedDataGraph.header_geometry(header)
+                    header, _, _, masks, _ = _parse_payload(payload)
                     info = path.stat()
                     listed.append(
                         StoreEntry(
@@ -492,23 +432,21 @@ class PreparedIndexStore:
                             num_edges=int(header["num_edges"]),
                             file_bytes=info.st_size,
                             payload_bytes=len(payload),
-                            mask_section_bytes=(2 * n + 1) * row_bytes,
+                            mask_section_bytes=len(masks),
                             prepare_seconds=float(header["prepare_seconds"]),
                             mtime=info.st_mtime,
-                            version=version,
+                            version=STORE_VERSION,
                         )
                     )
                 except (ValueError, KeyError, TypeError, OSError):
                     pass
                 continue
             delta_path = self.delta_path_for(fingerprint)
-            read = self._read_payload(delta_path, magic=DELTA_MAGIC)
-            if read is None:
+            payload = self._read_payload(delta_path, magic=DELTA_MAGIC)
+            if payload is None:
                 continue
-            payload, version = read
             try:
                 header, from_rows, to_rows, _ = _decode_delta(payload)
-                _, _, row_bytes = PreparedDataGraph.header_geometry(header)
                 info = delta_path.stat()
                 listed.append(
                     StoreEntry(
@@ -519,10 +457,10 @@ class PreparedIndexStore:
                         file_bytes=info.st_size,
                         payload_bytes=len(payload),
                         mask_section_bytes=(len(from_rows) + len(to_rows) + 1)
-                        * row_bytes,
+                        * header["row_bytes"],
                         prepare_seconds=float(header["prepare_seconds"]),
                         mtime=info.st_mtime,
-                        version=version,
+                        version=STORE_VERSION,
                         chain_depth=int(header["depth"]),
                     )
                 )
@@ -613,7 +551,7 @@ class PreparedIndexStore:
         blob = _envelope(DELTA_MAGIC, payload) + payload
         path = self.delta_path_for(evolved.fingerprint)
         self._write_blob(path, blob)
-        full_bytes = _estimate_full_bytes(evolved, n, width)
+        full_bytes = _estimate_full_bytes(evolved)
         return path, {
             "path": str(path),
             "depth": parent_depth + 1,
@@ -649,10 +587,9 @@ class PreparedIndexStore:
             raise InputError(f"verify must be 'full' or 'header', got {verify!r}")
         if not is_fingerprint(fingerprint):
             return None
-        read = self._read_payload(self.path_for(fingerprint), verify=verify)
-        if read is None:
+        payload = self._read_payload(self.path_for(fingerprint), verify=verify)
+        if payload is None:
             return self._load_chained(fingerprint, graph2, verify)
-        payload, _ = read
         try:
             prepared = PreparedDataGraph.from_payload(graph2, payload)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
@@ -670,17 +607,22 @@ class PreparedIndexStore:
         if chain is None:
             return None
         base_fingerprint, records = chain
-        read = self._read_payload(self.path_for(base_fingerprint), verify=verify)
-        if read is None:
+        payload = self._read_payload(self.path_for(base_fingerprint), verify=verify)
+        if payload is None:
             return None
         try:
-            base_header, from_rows, to_rows, cycle_mask = _decode_mask_rows(read[0])
+            # Any sketch section is ignored: replayed indexes resketch lazily.
+            base_header, n, width, masks, _ = _parse_payload(payload)
         except (ValueError, KeyError, TypeError):
             return None
-        if base_header.get("fingerprint") != base_fingerprint:
+        node_reprs = base_header.get("node_reprs")
+        if base_header.get("fingerprint") != base_fingerprint or not (
+            isinstance(node_reprs, list) and len(node_reprs) == n
+        ):
             return None
-        node_reprs = list(base_header["node_reprs"])
-        n = len(from_rows)
+        node_reprs = list(node_reprs)
+        rows = _int_rows(masks, width)
+        from_rows, to_rows, cycle_mask = rows[:n], rows[n : 2 * n], rows[2 * n]
         for header, delta_from, delta_to, delta_cycle in reversed(records):
             record_n = header["num_nodes"]
             appended = header["appended_reprs"]
@@ -730,13 +672,13 @@ class PreparedIndexStore:
             if current in seen or len(records) > CHAIN_DEPTH_MAX + 4:
                 return None
             seen.add(current)
-            read = self._read_payload(
+            payload = self._read_payload(
                 self.delta_path_for(current), verify=verify, magic=DELTA_MAGIC
             )
-            if read is None:
+            if payload is None:
                 return None
             try:
-                record = _decode_delta(read[0])
+                record = _decode_delta(payload)
             except (ValueError, KeyError, TypeError):
                 return None
             if record[0].get("fingerprint") != current:
@@ -922,10 +864,10 @@ class PreparedIndexStore:
             if not is_fingerprint(path.stem):
                 continue
             parent = None
-            read = self._read_payload(path, verify="header", magic=DELTA_MAGIC)
-            if read is not None:
+            payload = self._read_payload(path, verify="header", magic=DELTA_MAGIC)
+            if payload is not None:
                 try:
-                    base = PreparedDataGraph.payload_header(read[0]).get("base")
+                    base = PreparedDataGraph.payload_header(payload).get("base")
                 except (ValueError, KeyError, TypeError):
                     base = None
                 if isinstance(base, str) and is_fingerprint(base):
@@ -1081,9 +1023,8 @@ class PreparedIndexStore:
         — unless the sidecar is missing or stale, in which case the one
         full checksum runs (and records a sidecar) so every *subsequent*
         open of this file, across processes and restarts, is O(1) in the
-        payload size.  ``verify="full"`` forces the checksum.  Version-1
-        files return ``None`` (their packed rows are not mappable; the
-        caller falls back to the decode path), as does any defect.
+        payload size.  ``verify="full"`` forces the checksum.  Any defect
+        — an older format version included — returns ``None``.
 
         A fingerprint stored as a delta chain whose records all keep the
         base's node count returns the **base** file's region with a
@@ -1102,17 +1043,15 @@ class PreparedIndexStore:
             return self._chained_region(fingerprint, verify)
         try:
             with open(path, "rb") as handle:
-                head = handle.read(_ENVELOPE_LEN[STORE_VERSION])
+                head = handle.read(_ENVELOPE_LEN)
                 info = os.fstat(handle.fileno())
         except OSError:
             return None
         parsed = _parse_envelope(head)
         if parsed is None:
             return None
-        version, payload_offset, length, checksum = parsed
-        if version < 2:
-            return None  # packed v1 rows: not mappable, decode instead
-        if info.st_size != payload_offset + length:
+        length, checksum = parsed
+        if info.st_size != _ENVELOPE_LEN + length:
             return None
         if verify == "full" or not self._sidecar_verified(path, info):
             try:
@@ -1121,15 +1060,15 @@ class PreparedIndexStore:
                 return None
             if (
                 len(blob) != info.st_size
-                or hashlib.sha256(blob[payload_offset:]).digest() != checksum
+                or hashlib.sha256(blob[_ENVELOPE_LEN:]).digest() != checksum
             ):
                 return None
             self._write_sidecar(path, checksum)
         return PayloadRegion(
             path=path,
             fingerprint=fingerprint,
-            version=version,
-            payload_offset=payload_offset,
+            version=STORE_VERSION,
+            payload_offset=_ENVELOPE_LEN,
             payload_length=length,
             file_size=info.st_size,
             mtime_ns=info.st_mtime_ns,
@@ -1234,8 +1173,8 @@ class PreparedIndexStore:
 
     def _read_payload(
         self, path: Path, verify: str = "full", magic: bytes = _MAGIC
-    ) -> tuple[bytes, int] | None:
-        """Read and validate one file; ``(payload, version)`` or ``None``.
+    ) -> bytes | None:
+        """Read and validate one file; its payload, or ``None``.
 
         ``verify="header"`` trusts a stat-matching sidecar in place of
         the sha256 pass; with no (valid) sidecar it upgrades to the full
@@ -1249,8 +1188,8 @@ class PreparedIndexStore:
         parsed = _parse_envelope(blob, magic=magic)
         if parsed is None:
             return None
-        version, payload_offset, length, checksum = parsed
-        payload = blob[payload_offset:]
+        length, checksum = parsed
+        payload = blob[_ENVELOPE_LEN:]
         if len(payload) != length:
             return None
         if verify == "header":
@@ -1259,12 +1198,12 @@ class PreparedIndexStore:
             except OSError:
                 return None
             if self._sidecar_verified(path, info):
-                return payload, version
+                return payload
         if hashlib.sha256(payload).digest() != checksum:
             return None
         if verify == "header":
             self._write_sidecar(path, checksum)
-        return payload, version
+        return payload
 
     def __repr__(self) -> str:
         return f"<PreparedIndexStore {str(self.store_dir)!r} entries={len(self)}>"

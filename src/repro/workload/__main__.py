@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="service front-end under test (default: flat)",
     )
     fleet.add_argument("--shards", type=int, default=2, help="shards for --frontend sharded")
-    fleet.add_argument("--backend", default=None, help="solver backend (python/numpy/mmap)")
+    fleet.add_argument(
+        "--backend", default=None, help="solver backend: python or numpy (alias: mmap)"
+    )
     fleet.add_argument("--store-dir", default=None, help="shared warm store directory")
     fleet.add_argument(
         "--inline", action="store_true",

@@ -18,7 +18,7 @@ from helpers import make_random_instance
 from repro.core.api import match, match_prepared, validate_match_options
 from repro.core.backends import (
     BACKEND_NAMES,
-    NumpyBlockBackend,
+    MmapBlockBackend,
     PythonIntBackend,
     SolverBackend,
     available_backends,
@@ -29,6 +29,7 @@ from repro.core.engine import comp_max_card_engine, greedy_match
 from repro.core.optimize import comp_max_card_compressed, comp_max_card_partitioned
 from repro.core.prepared import PreparedDataGraph, prepare_data_graph
 from repro.core.service import MatchingService, MatchSession
+from repro.core.sharding import ShardedMatchingService
 from repro.core.workspace import MatchingWorkspace
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph
@@ -80,7 +81,48 @@ class TestRegistry:
 
     @needs_numpy
     def test_numpy_backend_constructs(self):
-        assert isinstance(get_backend("numpy"), NumpyBlockBackend)
+        backend = get_backend("numpy")
+        assert isinstance(backend, MmapBlockBackend)
+        assert backend.name == "numpy" and backend.hydrates_mapped
+
+    @needs_numpy
+    def test_mmap_is_the_numpy_backend(self, monkeypatch):
+        assert get_backend("mmap") is get_backend("numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "mmap")
+        assert get_backend() is get_backend("numpy")
+
+    @needs_numpy
+    def test_numpy_service_maps_store_hits(self, tmp_path):
+        data = random_digraph(40, 120, random.Random(3), name="stored")
+        MatchingService(store_dir=str(tmp_path), backend="python").prepared_for(data)
+        service = MatchingService(store_dir=str(tmp_path), backend="numpy")
+        service.prepared_for(data)
+        snapshot = service.stats.snapshot()
+        assert snapshot["mmap_opens"] == 1
+        assert snapshot["disk_hits"] == 1 and snapshot["prepares"] == 0
+
+    @needs_numpy
+    def test_numpy_and_mmap_shard_workers_both_map(self, tmp_path):
+        warm = ShardedMatchingService(2, store_dir=str(tmp_path), backend="python")
+        graphs: dict[int, DiGraph] = {}
+        for seed in range(64):
+            graph = random_digraph(30, 90, random.Random(seed), name=f"g{seed}")
+            graphs.setdefault(warm.workers.index(warm.worker_for(graph)), graph)
+            if len(graphs) == 2:
+                break
+        assert len(graphs) == 2
+        for graph in graphs.values():
+            warm.worker_for(graph).prepared_for(graph)
+        router = ShardedMatchingService(
+            2, store_dir=str(tmp_path), backends=["numpy", "mmap"]
+        )
+        for shard, graph in graphs.items():
+            worker = router.worker_for(graph)
+            assert worker is router.workers[shard]
+            assert worker.backend is get_backend("numpy")
+            worker.prepared_for(graph)
+            snapshot = worker.stats.snapshot()
+            assert snapshot["mmap_opens"] == 1 and snapshot["prepares"] == 0, shard
 
     def test_workspace_rejects_bad_backend(self):
         graph = DiGraph.from_edges([("a", "b")])

@@ -1,13 +1,14 @@
-"""The mmap backend and the v2 store format that carries it.
+"""The numpy backend's mapped hydration and the store format carrying it.
 
-Covers the zero-copy contract end to end: v2 records keep mask rows
-8-byte aligned (asserted on real file bytes) while v1 records still
-load; ``payload_region``'s verification modes (full, header+sidecar)
+Covers the zero-copy contract end to end: v3 records keep mask rows
+8-byte aligned (asserted on real file bytes) while older records
+rebuild; ``payload_region``'s verification modes (full, header+sidecar)
 degrade corruption to a miss, never a crash; mapped matrix views are
 read-only; mappings are shared per file identity; ``evolve_rows``
 copy-on-write leaves the on-disk file byte-identical; and a
-``backend="mmap"`` service hydrates from the store without a single
-payload decode, answering bit-identically to the other backends.
+``backend="numpy"`` service (``"mmap"`` is its alias) hydrates from the
+store without a single payload decode, answering bit-identically to
+the ``python`` reference.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def open_mapped(store, graph, prepared, verify: str = "full"):
 
 
 # ----------------------------------------------------------------------
-# v2 format: alignment asserted on the real file bytes; v1 read-compat
+# v3 format: alignment asserted on the real file bytes; older files rebuild
 # ----------------------------------------------------------------------
 class TestStoreFormat:
     def test_v2_record_is_8_byte_aligned(self, tmp_path):
@@ -104,53 +105,71 @@ class TestStoreFormat:
         sketch_bytes = 4 * 8 * n if header.get("sketch") else 0
         assert len(payload) - mask_offset == (2 * n + 1) * width + sketch_bytes
 
-    def test_v1_records_still_load(self, tmp_path):
-        """A hand-crafted version-1 file (52-byte envelope, packed rows)
-        loads exactly as before — and is honestly unmappable."""
+    def test_pre_v3_files_rebuild(self, tmp_path):
+        """Hand-made version-1 and version-2 files read as a miss: the
+        first request rebuilds the index and rewrites the file as v3,
+        which the next process then hits on disk."""
         graph = build_graph()
         prepared = prepare_data_graph(graph)
         n = prepared.num_nodes()
-        width = (n + 7) // 8  # layout-1 packed width, no alignment
-        header = {
-            "fingerprint": prepared.fingerprint,
-            "num_nodes": n,
-            "num_edges": prepared.num_edges(),
-            "row_bytes": width,
-            "node_reprs": [repr(node) for node in prepared.nodes2],
-            "prepare_seconds": prepared.prepare_seconds,
-        }
-        parts = [json.dumps(header, separators=(",", ":")).encode() + b"\n"]
-        parts.extend(m.to_bytes(width, "little") for m in prepared.from_mask)
-        parts.extend(m.to_bytes(width, "little") for m in prepared.to_mask)
-        parts.append(prepared.cycle_mask.to_bytes(width, "little"))
-        payload = b"".join(parts)
-        blob = b"".join(
-            (
-                b"RPHOMIDX",
-                (1).to_bytes(4, "little"),
-                len(payload).to_bytes(8, "little"),
-                hashlib.sha256(payload).digest(),
-                payload,
-            )
-        )
-        store = PreparedIndexStore(tmp_path)
-        store.path_for(prepared.fingerprint).write_bytes(blob)
 
-        loaded = store.load(prepared.fingerprint, graph)
-        assert loaded is not None
-        assert loaded.from_mask == prepared.from_mask
-        assert loaded.to_mask == prepared.to_mask
-        assert loaded.cycle_mask == prepared.cycle_mask
-        [entry] = store.entries()
-        assert entry.version == 1
-        # v1 payloads are not 8-byte aligned: never offered for mapping.
-        assert store.payload_region(prepared.fingerprint) is None
-        # A service asked to map it falls back to the decode tier.
-        service = MatchingService(store_dir=str(tmp_path), backend="mmap")
-        service.prepared_for(graph)
-        snap = service.stats.snapshot()
-        assert snap["mmap_opens"] == 0
-        assert snap["disk_hits"] == 1 and snap["prepares"] == 0
+        def payload(width: int, pad: bool, **extra) -> bytes:
+            header = {
+                "fingerprint": prepared.fingerprint,
+                "num_nodes": n,
+                "num_edges": prepared.num_edges(),
+                **extra,
+                "row_bytes": width,
+                "node_reprs": [repr(node) for node in prepared.nodes2],
+                "prepare_seconds": prepared.prepare_seconds,
+            }
+            head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+            parts = [head, b"\x00" * (-len(head) % 8) if pad else b""]
+            parts.extend(m.to_bytes(width, "little") for m in prepared.from_mask)
+            parts.extend(m.to_bytes(width, "little") for m in prepared.to_mask)
+            parts.append(prepared.cycle_mask.to_bytes(width, "little"))
+            return b"".join(parts)
+
+        # v1: 52-byte envelope, packed layout-1 rows; v2: 56-byte
+        # envelope (reserved word), word-aligned layout-2 rows, no sketch.
+        v1 = payload((n + 7) // 8, pad=False)
+        v2 = payload(8 * max(1, (n + 63) // 64), pad=True, layout=2)
+        old_files = {
+            1: (v1, b""),
+            2: (v2, b"\x00\x00\x00\x00"),
+        }
+        for version, (body, reserved) in old_files.items():
+            for backend in ("python", "numpy"):
+                store = PreparedIndexStore(tmp_path / f"v{version}-{backend}")
+                path = store.path_for(prepared.fingerprint)
+                path.write_bytes(
+                    b"".join(
+                        (
+                            b"RPHOMIDX",
+                            version.to_bytes(4, "little"),
+                            reserved,
+                            len(body).to_bytes(8, "little"),
+                            hashlib.sha256(body).digest(),
+                            body,
+                        )
+                    )
+                )
+                assert store.load(prepared.fingerprint, graph) is None
+                assert store.payload_region(prepared.fingerprint) is None
+
+                first = MatchingService(store_dir=str(store.store_dir), backend=backend)
+                rebuilt = first.prepared_for(graph)
+                assert list(rebuilt.from_mask) == list(prepared.from_mask)
+                snap = first.stats.snapshot()
+                assert snap["disk_hits"] == 0 and snap["prepares"] == 1, (version, backend)
+                assert int.from_bytes(path.read_bytes()[8:12], "little") == STORE_VERSION
+                [entry] = store.entries()
+                assert entry.version == STORE_VERSION
+
+                fresh = MatchingService(store_dir=str(store.store_dir), backend=backend)
+                fresh.prepared_for(graph)
+                snap = fresh.stats.snapshot()
+                assert snap["disk_hits"] == 1 and snap["prepares"] == 0, (version, backend)
 
     def test_entries_report_section_sizes(self, tmp_path):
         graph = build_graph()
@@ -426,11 +445,17 @@ class TestServiceIntegration:
         ) == 0
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["action"] == "stored"
-        assert line["backend"] == "mmap"
+        assert line["backend"] == "numpy"  # "mmap" is the numpy backend's alias
         assert line["hydration"] == "mapped"
-        # Decoding backends report the decode path.
         assert main(
             ["index", "warm", str(store_dir), str(gpath), "--backend", "numpy"]
+        ) == 0
+        line = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert line["action"] == "exists"
+        assert line["hydration"] == "mapped"
+        # The decoding reference backend reports the decode path.
+        assert main(
+            ["index", "warm", str(store_dir), str(gpath), "--backend", "python"]
         ) == 0
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["action"] == "exists"

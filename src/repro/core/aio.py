@@ -2,10 +2,10 @@
 
 The solver is synchronous, CPU-bound Python; an asyncio web tier must
 not run it on the event loop.  :class:`AsyncMatchingService` is the
-bridge: every request is pushed onto a thread pool with
-``loop.run_in_executor`` and bounded by a semaphore, so a burst of
-requests queues instead of spawning unbounded threads, and the event
-loop stays responsive while solves run.
+bridge: every request is pushed onto the adapter's own thread pool with
+``loop.run_in_executor``.  The pool has ``max_concurrency`` threads, so
+a burst of requests queues in the pool instead of spawning unbounded
+threads, and the event loop stays responsive while solves run.
 
 The wrapped service may be a plain
 :class:`~repro.core.service.MatchingService` or a
@@ -17,10 +17,10 @@ read-only and shared across worker threads; concurrent requests for one
 cold graph are deduplicated by the prepared cache's in-flight future, so
 an async stampede costs one build.
 
-Semaphores are created per running event loop: an
-``AsyncMatchingService`` can serve several consecutive ``asyncio.run``
-invocations (each gets a fresh loop) without tripping over primitives
-bound to a closed loop.
+The pool belongs to no event loop: an ``AsyncMatchingService`` can
+serve several consecutive ``asyncio.run`` invocations (each gets a
+fresh loop), or several loops at once, and all of them share the one
+``max_concurrency`` bound.
 
 Usage::
 
@@ -48,20 +48,19 @@ __all__ = ["AsyncMatchingService"]
 
 
 class AsyncMatchingService:
-    """Semaphore-bounded asyncio adapter over a matching service.
+    """Asyncio adapter over a matching service and the pool it owns.
 
     ``service`` defaults to a fresh :class:`MatchingService`; pass a
     configured (or sharded) one to share its caches with synchronous
-    callers.  ``max_concurrency`` bounds the in-flight solves *and* the
-    owned thread pool; ``executor`` substitutes an external pool (it is
-    then the caller's to shut down).
+    callers.  ``max_concurrency`` is the size of the owned thread pool,
+    so it bounds the in-flight solves; later requests wait in the
+    pool's queue.
     """
 
     def __init__(
         self,
         service: "MatchingService | ShardedMatchingService | None" = None,
         max_concurrency: int = 8,
-        executor: ThreadPoolExecutor | None = None,
         latency_hook: "Callable[[str, float], None] | None" = None,
     ) -> None:
         if max_concurrency < 1:
@@ -71,100 +70,34 @@ class AsyncMatchingService:
         self.service = service if service is not None else MatchingService()
         self.max_concurrency = max_concurrency
         #: ``(op, seconds)`` callable observed per request with the
-        #: *client-perceived* wall-clock — semaphore queueing plus the
-        #: executor solve (op ``"async"``).  Exceptions are swallowed.
+        #: *client-perceived* wall-clock — the wait in the pool's queue
+        #: plus the solve (op ``"async"``).  Exceptions are swallowed.
         self.latency_hook = latency_hook
-        self._executor = executor
-        self._owns_executor = executor is None
-        self._semaphores: dict[
-            int, tuple[asyncio.AbstractEventLoop, asyncio.Semaphore]
-        ] = {}
         self._lock = threading.Lock()
-        self._closed = False
-        #: Requests currently inside (or committed to) the executor;
-        #: ``close()`` drains this to zero before shutting the pool down.
-        self._inflight = 0
-        self._idle = threading.Condition(self._lock)
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise InputError("AsyncMatchingService is closed")
-            return self._ensure_pool()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        """The executor, created lazily; caller holds :attr:`_lock`."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_concurrency,
-                thread_name_prefix="repro-aio",
-            )
-        return self._executor
-
-    def _semaphore(self) -> asyncio.Semaphore:
-        """The bound for the *running* loop (created on first use).
-
-        asyncio primitives latch onto the loop that first awaits them;
-        keying per loop lets one service outlive ``asyncio.run``
-        boundaries (tests, CLI tools, notebook re-runs).
-        """
-        loop = asyncio.get_running_loop()
-        key = id(loop)
-        with self._lock:
-            entry = self._semaphores.get(key)
-            if entry is not None and entry[0] is loop:
-                return entry[1]
-            # Housekeeping: evict only semaphores whose loop is closed —
-            # a *live* loop's semaphore may hold acquired permits, and
-            # dropping it would silently double the concurrency bound.
-            for other_key, (other_loop, _) in list(self._semaphores.items()):
-                if other_loop.is_closed():
-                    del self._semaphores[other_key]
-            semaphore = asyncio.Semaphore(self.max_concurrency)
-            self._semaphores[key] = (loop, semaphore)
-            return semaphore
+        #: ``None`` once ``close()`` has begun.
+        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
+            max_workers=max_concurrency, thread_name_prefix="repro-aio"
+        )
 
     async def _run(self, fn, /, *args, **kwargs):
-        """Run one synchronous service call off-loop, under the bound.
+        """Run one synchronous service call on the pool.
 
-        The in-flight admission is atomic with the closed check: a
-        request either observes ``closed`` and is rejected with
-        :class:`~repro.utils.errors.InputError`, or registers itself in
-        ``_inflight`` *before* touching the executor — and ``close()``
-        waits for the in-flight count to drain before shutting the pool
-        down, so a submission can never race a pool shutdown into
-        ``RuntimeError``.  The count is released from the executor
-        thread (not the coroutine), so a ``close()`` issued from the
-        event-loop thread itself still drains.
+        The submission holds the lock ``close()`` takes to drop the
+        pool, so a request either finds the adapter closed and is
+        rejected with :class:`~repro.utils.errors.InputError`, or is
+        already in the pool when ``close()`` starts — and the pool's
+        ``shutdown(wait=True)`` runs it to completion.  A submission
+        that raises leaves nothing behind for ``close()`` to wait on.
         """
         started = perf_counter()
         loop = asyncio.get_running_loop()
-        call = partial(fn, *args, **kwargs)
-
-        def tracked():
-            try:
-                return call()
-            finally:
-                with self._lock:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle.notify_all()
-
-        async with self._semaphore():
-            with self._lock:
-                if self._closed:
-                    raise InputError("AsyncMatchingService is closed")
-                executor = self._ensure_pool()
-                self._inflight += 1
-            # run_in_executor submits synchronously, so the tracked
-            # wrapper (and its in-flight release) is committed to the
-            # pool before this coroutine can be suspended/cancelled.
-            result = await loop.run_in_executor(executor, tracked)
-            _observe(self.latency_hook, "async", perf_counter() - started)
-            return result
+        with self._lock:
+            if self._pool is None:
+                raise InputError("AsyncMatchingService is closed")
+            future = loop.run_in_executor(self._pool, partial(fn, *args, **kwargs))
+        result = await future
+        _observe(self.latency_hook, "async", perf_counter() - started)
+        return result
 
     # ------------------------------------------------------------------
     # Request surface
@@ -240,32 +173,23 @@ class AsyncMatchingService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Reject new requests, drain in-flight ones, then shut down.
+        """Reject new requests, finish submitted ones, then return.
 
         Idempotent.  New requests fail fast with
         :class:`~repro.utils.errors.InputError` the moment ``close()``
-        begins; requests already admitted keep their executor and run to
-        completion before the owned pool is shut down — closing mid-burst
-        can therefore never surface a ``RuntimeError`` from a pool that
-        vanished between admission and submission.  An external
-        ``executor`` passed at construction is left running (and not
-        drained — its lifecycle is the caller's).
+        begins; every request already submitted — running or still
+        queued in the pool — runs to completion before ``close()``
+        returns.  Closing mid-burst therefore never surfaces a
+        ``RuntimeError`` from a pool that vanished under a request.
 
         Call from a thread that is not running the event loop (as
-        ``__aexit__`` does): the drain blocks until in-flight executor
-        work finishes.
+        ``__aexit__`` does): the shutdown blocks until the pool's work
+        finishes.
         """
         with self._lock:
-            self._closed = True
-            if self._owns_executor:
-                # Condition.wait releases the lock, so executor threads
-                # can take it to decrement the in-flight count.
-                while self._inflight:
-                    self._idle.wait()
-            executor, self._executor = self._executor, None
-            owns = self._owns_executor
-        if owns and executor is not None:
-            executor.shutdown(wait=True)
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "AsyncMatchingService":
         return self

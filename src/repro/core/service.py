@@ -46,7 +46,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from copy import copy
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from repro.core.api import (
     DEFAULT_MATCH_THRESHOLD,
@@ -125,6 +125,22 @@ def _observe(
             pass
     if charge is not None:
         charge(watch.elapsed)
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def _fan_out(
+    fn: Callable[[_T], _R], items: Sequence[_T], max_workers: int | None
+) -> list[_R]:
+    """``fn`` over ``items``, results in item order: on a fresh thread
+    pool when ``max_workers > 1`` and there is more than one item,
+    otherwise in order on the calling thread."""
+    if max_workers is not None and max_workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @dataclass
@@ -801,11 +817,7 @@ class MatchingService:
             return report, watch.elapsed, filtered, perf_counter() - path_started
 
         with Stopwatch() as fan_out:
-            if max_workers is not None and max_workers > 1 and len(patterns) > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    solved = list(pool.map(solve, patterns))
-            else:
-                solved = [solve(graph1) for graph1 in patterns]
+            solved = _fan_out(solve, patterns, max_workers)
         with self.stats.lock:
             self.stats.calls += len(solved)
             self.stats.record_backend(solver.name, len(solved))

@@ -58,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Callable, Hashable, Sequence
 
@@ -79,6 +78,7 @@ from repro.core.service import (
     _COUNTERS,
     MatchingService,
     SimilaritySource,
+    _fan_out,
     _observe,
     resolve_similarity,
 )
@@ -872,11 +872,7 @@ class ShardedMatchingService:
             )
 
         with Stopwatch() as watch:
-            if max_workers is not None and max_workers > 1 and len(patterns) > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    reports = list(pool.map(solve, patterns))
-            else:
-                reports = [solve(graph1) for graph1 in patterns]
+            reports = _fan_out(solve, patterns, max_workers)
         with self._lock:
             # Per-batch sum, normalized by "batches" — the same contract
             # as ServiceStats.batch_seconds under concurrent callers.
@@ -1122,34 +1118,23 @@ class ShardedMatchingService:
                 service.stats.calls += 1
                 service.stats.solve_seconds += solve_watch.elapsed
                 service.stats.record_backend(workspace.backend.name)
-            return [(v, workspace.nodes2[u]) for v, u in pairs], rounds
+            mapped = [(v, workspace.nodes2[u]) for v, u in pairs]
+            if injective:
+                used_nodes.update(u for _, u in mapped)
+            return mapped, rounds
 
-        all_pairs: list[tuple[int, Node]] = []
-        rounds = 0
-        if (
-            not injective
-            and max_workers is not None
-            and max_workers > 1
-            and len(components) > 1
-        ):
-            # Workspaces are built serially (their dict is unguarded and
-            # the prepare underneath is the expensive part anyway), then
-            # independent component solves fan out.  pool.map preserves
-            # plan order, so the merge below is the sequential merge.
-            for key in routes:
-                workspace_for(key)
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                solved = list(pool.map(solve_one, range(len(components))))
-            for pairs, component_rounds in solved:
-                all_pairs.extend(pairs)
-                rounds += component_rounds
-        else:
-            for idx in range(len(components)):
-                pairs, component_rounds = solve_one(idx)
-                all_pairs.extend(pairs)
-                rounds += component_rounds
-                if injective:
-                    used_nodes.update(u for _, u in pairs)
+        # Workspaces are built serially (their dict is unguarded and the
+        # prepare underneath is the expensive part anyway), then the
+        # component solves run: fanned out, unless injective mode makes
+        # each solve depend on the nodes the earlier ones used.  Results
+        # keep plan order, so the merge below is the sequential merge.
+        for key in routes:
+            workspace_for(key)
+        solved = _fan_out(
+            solve_one, range(len(components)), None if injective else max_workers
+        )
+        all_pairs = [pair for pairs, _ in solved for pair in pairs]
+        rounds = sum(component_rounds for _, component_rounds in solved)
 
         # Quality, with the exact accumulation order of the
         # single-process path (floats must match bit-for-bit).

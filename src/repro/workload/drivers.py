@@ -273,9 +273,9 @@ async def _drive_async(config, scenario, frontend, worker_id: int) -> dict:
     """The asyncio variant: arrivals spawn tasks, completions overlap.
 
     Open-loop like the sync driver, but a slow request does not delay
-    the next arrival — tasks run concurrently under the adapter's
-    semaphore, which is where the ``"async"`` op's queueing latency
-    comes from.
+    the next arrival — tasks run concurrently on the adapter's bounded
+    thread pool, whose queue is where the ``"async"`` op's queueing
+    latency comes from.
     """
     schedule = config.schedule
     share = max(1, config.workers)

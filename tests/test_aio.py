@@ -2,9 +2,10 @@
 
 The async front-end must be a *transparent* adapter: a gather of N
 requests returns exactly what N sequential service calls return, the
-semaphore really bounds in-flight solves, and the wrapped service's
-statistics stay consistent under async fan-out (they are taken as one
-lock-held snapshot since the sharding refactor).
+owned thread pool really bounds in-flight solves (across every event
+loop the adapter serves), and the wrapped service's statistics stay
+consistent under async fan-out (they are taken as one lock-held
+snapshot since the sharding refactor).
 """
 
 from __future__ import annotations
@@ -48,6 +49,27 @@ def build_workload(sites: int = 2, site_nodes: int = 30, patterns: int = 10):
     return data, pats, source
 
 
+def spy_inflight(service: MatchingService) -> dict:
+    """Wrap ``service.match`` to track how many calls run at once; the
+    returned dict's ``"peak"`` is the most seen so far."""
+    inner = service.match
+    state = {"now": 0, "peak": 0}
+    gate = threading.Lock()
+
+    def spying_match(*args, **kwargs):
+        with gate:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            with gate:
+                state["now"] -= 1
+
+    service.match = spying_match  # type: ignore[method-assign]
+    return state
+
+
 class TestConcurrencyEquivalence:
     def test_match_many_equals_sequential(self):
         data, patterns, source = build_workload()
@@ -89,27 +111,45 @@ class TestConcurrencyEquivalence:
         data, patterns, source = build_workload(patterns=12)
         bound = 3
         service = MatchingService()
-        inner = service.match
-        state = {"now": 0, "peak": 0}
-        gate = threading.Lock()
-
-        def spying_match(*args, **kwargs):
-            with gate:
-                state["now"] += 1
-                state["peak"] = max(state["peak"], state["now"])
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                with gate:
-                    state["now"] -= 1
-
-        service.match = spying_match  # type: ignore[method-assign]
+        state = spy_inflight(service)
 
         async def run():
             async with AsyncMatchingService(service, max_concurrency=bound) as aio:
                 await aio.match_many(patterns, data, source, XI)
 
         asyncio.run(run())
+        assert 1 <= state["peak"] <= bound
+
+    def test_one_bound_across_live_event_loops(self):
+        """Loops running at once share the adapter's one pool: two
+        concurrent bursts never hold more than ``max_concurrency``
+        solves between them."""
+        data, patterns, source = build_workload(patterns=8)
+        bound = 2
+        service = MatchingService()
+        state = spy_inflight(service)
+        aio = AsyncMatchingService(service, max_concurrency=bound)
+        start = threading.Barrier(2)
+        failures = []
+
+        def burst():
+            try:
+                start.wait(5)
+                asyncio.run(aio.match_many(patterns, data, source, XI))
+            except Exception as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=burst) for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            aio.close()
+        assert not failures, failures
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.stats.snapshot()["calls"] == 2 * len(patterns)
         assert 1 <= state["peak"] <= bound
 
     def test_sharded_passthrough(self):
@@ -166,62 +206,18 @@ class TestLifecycle:
         with pytest.raises(InputError):
             asyncio.run(run())
 
-    def test_external_executor_left_running(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        data, patterns, source = build_workload(patterns=2)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            service = AsyncMatchingService(executor=pool)
-            asyncio.run(service.match(patterns[0], data, source, XI))
-            service.close()
-            # The pool is still usable: close() must not have shut it down.
-            assert pool.submit(lambda: 41 + 1).result() == 42
-
     def test_validation(self):
         with pytest.raises(InputError):
             AsyncMatchingService(max_concurrency=0)
         assert "AsyncMatchingService" in repr(AsyncMatchingService())
 
 
-class TestSemaphoreHousekeeping:
-    def test_live_loop_semaphores_survive_closed_loop_eviction(self):
-        """Only semaphores of *closed* loops are evicted: a service shared
-        across many loops must never hand a live loop a fresh (full-permit)
-        semaphore while its old one still holds acquired permits."""
-        service = AsyncMatchingService(max_concurrency=2)
-        try:
-            live_loop = asyncio.new_event_loop()
-            try:
-                live_sem = live_loop.run_until_complete(
-                    _grab_semaphore(service)
-                )
-                # Churn through more loops than the old clear() threshold.
-                for _ in range(12):
-                    asyncio.run(_grab_semaphore(service))
-                again = live_loop.run_until_complete(_grab_semaphore(service))
-                assert again is live_sem  # the live loop kept its semaphore
-            finally:
-                live_loop.close()
-            # The closed loops' semaphores were garbage-collected away.
-            with service._lock:
-                remaining = [
-                    loop for loop, _ in service._semaphores.values()
-                    if not loop.is_closed()
-                ]
-            assert remaining == []
-        finally:
-            service.close()
-
-
-async def _grab_semaphore(service):
-    return service._semaphore()
-
-
 class TestLockDiscipline:
     """Satellite audit of core/aio.py: repro-lint found no RL001/RL002
-    violations (its lock blocks only build executors/semaphores and all
-    stats flow through the inner service's stats lock).  These tests pin
-    that clean bill of health behaviorally and statically."""
+    violations (its lock blocks only check for close and submit to or
+    drop the pool, and all stats flow through the inner service's stats
+    lock).  These tests pin that clean bill of health behaviorally and
+    statically."""
 
     def test_stats_never_tear_under_async_fanout(self):
         """Every snapshot taken while async fan-out is in flight keeps
@@ -275,13 +271,15 @@ class TestCloseDrainsInflight:
     def test_close_waits_for_admitted_requests(self):
         """An admitted request must never hit a shut-down executor.
 
-        The race this pins: a request passes the closed check and is
-        committed to the pool, but ``close()`` runs before the actual
-        executor submission.  Pre-fix, ``close()`` had nothing to wait
-        on — it shut the pool down immediately and the delegated submit
-        exploded with ``RuntimeError: cannot schedule new futures after
-        shutdown``.  Post-fix the in-flight count makes ``close()``
-        block until the admitted request completes.
+        The race this pins: a request passes the closed check, but
+        ``close()`` runs before the actual executor submission.  Pre-fix,
+        ``close()`` had nothing to wait on — it shut the pool down
+        immediately and the delegated submit exploded with
+        ``RuntimeError: cannot schedule new futures after shutdown``.
+        Now the request holds the adapter's lock from the closed check
+        through the submission, so ``close()`` cannot drop the pool in
+        between, and its ``shutdown(wait=True)`` blocks until the
+        submitted request completes.
         """
         data, patterns, source = build_workload(patterns=2)
         service = AsyncMatchingService(max_concurrency=2)
@@ -320,6 +318,37 @@ class TestCloseDrainsInflight:
         assert report.result is not None
         # With the request finished, the drain releases and close lands.
         assert close_done.wait(5)
+
+        async def rejected():
+            await service.match(patterns[0], data, source, XI)
+
+        with pytest.raises(InputError):
+            asyncio.run(rejected())
+
+    def test_failed_submission_does_not_wedge_close(self):
+        """A submission that raises leaves nothing for ``close()`` to
+        wait on.
+
+        ``ThreadPoolExecutor.submit`` raises once interpreter shutdown
+        has begun, or when no thread can be started.  The request must
+        surface that error, and ``close()`` must still return.
+        """
+        data, patterns, source = build_workload(patterns=1)
+        service = AsyncMatchingService(max_concurrency=2)
+
+        def failing(executor, fn, *args):
+            raise RuntimeError("cannot schedule new futures")
+
+        async def run():
+            asyncio.get_running_loop().run_in_executor = failing  # dies with run()
+            await service.match(patterns[0], data, source, XI)
+
+        with pytest.raises(RuntimeError, match="cannot schedule"):
+            asyncio.run(run())
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        closer.join(5)
+        assert not closer.is_alive(), "close() blocked after a failed submission"
 
         async def rejected():
             await service.match(patterns[0], data, source, XI)

@@ -725,11 +725,12 @@ class TestAmortizationAtScale:
 class TestStatsSnapshotConsistency:
     def test_snapshot_never_tears_under_threaded_match_many(self):
         """Regression: ``snapshot()`` used to read fields without the
-        writers' lock, so a cut taken mid-``_record_solves`` could show
-        ``calls`` without the matching ``solved_by`` entry (or the other
-        way round).  Snapshots are now taken under the stats lock; the
-        ``calls == sum(solved_by)`` invariant must hold in *every*
-        snapshot, no matter how the fan-out interleaves."""
+        writers' lock, so a cut taken mid-way through ``_serve``'s stats
+        update could show ``calls`` without the matching ``solved_by``
+        entry (or the other way round).  Snapshots are now taken under
+        the stats lock; the ``calls == sum(solved_by)`` invariant must
+        hold in *every* snapshot, no matter how the fan-out
+        interleaves."""
         import threading
 
         rng = random.Random(71)

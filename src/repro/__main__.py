@@ -55,8 +55,8 @@ the candidate-pruning pipeline (:mod:`repro.core.prefilter`): ``auto``
 prunes candidate construction and shard fan-out where results stay
 bit-identical (``pairs_pruned`` / ``shards_skipped`` in the service
 stats), ``strict`` adds sketch pair pruning (the approximate tier).
-``index warm --prefilter off`` writes sketch-free payloads for stores
-that will only ever serve ``--prefilter off`` traffic.
+The sketches are not stored: each index derives them from its closure
+rows on its first ``strict`` request.
 
 ``index evolve`` carries a warmed store across a data-graph edit
 *incrementally*: the old snapshot's stored ``G2⁺`` index is evolved to
@@ -325,8 +325,7 @@ def _hydration_check(
 
 
 def _warm_one(
-    store: PreparedIndexStore, graph, backend, force: bool, line: dict,
-    include_sketches: bool = True,
+    store: PreparedIndexStore, graph, backend, force: bool, line: dict
 ) -> dict:
     """Warm one graph's index into the store; returns the report line.
 
@@ -348,7 +347,7 @@ def _warm_one(
         return line
     prepared = PreparedDataGraph(graph, fingerprint=fingerprint)
     with Stopwatch() as watch:
-        stored_at = store.save(prepared, include_sketches=include_sketches)
+        stored_at = store.save(prepared)
     line.update(
         action="stored",
         hydration=_hydration_check(store, fingerprint, graph, prepared, backend),
@@ -376,13 +375,9 @@ def _cmd_index_warm(args: argparse.Namespace) -> int:
     backend = get_backend(args.backend)
     for path in args.graphs:
         graph = load_json(path)
-        include_sketches = args.prefilter != "off"
         if args.shards is None:
             json.dump(
-                _warm_one(
-                    store, graph, backend, args.force, {"graph": path},
-                    include_sketches=include_sketches,
-                ),
+                _warm_one(store, graph, backend, args.force, {"graph": path}),
                 sys.stdout,
             )
             print()
@@ -395,7 +390,6 @@ def _cmd_index_warm(args: argparse.Namespace) -> int:
                 backend,
                 args.force,
                 {"graph": path, "shard": shard_id, "shards": args.shards},
-                include_sketches=include_sketches,
             )
             json.dump(line, sys.stdout)
             print()
@@ -672,11 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=None, metavar="N",
         help="warm the per-shard indexes of an N-shard plan instead of "
         "the whole-graph index (what `batch --shards N` serves from)",
-    )
-    warm.add_argument(
-        "--prefilter", choices=PREFILTER_MODES, default="auto",
-        help="include per-node prefilter sketches in the stored payload "
-        "('off' writes the sketch-free v2-shaped payload)",
     )
     warm.set_defaults(handler=_cmd_index, index_handler=_cmd_index_warm)
 

@@ -229,14 +229,6 @@ class MappedPayload:
     mask_section_bytes: int
     #: The validated :class:`~repro.core.store.PayloadRegion` opened.
     region: object = field(repr=False, default=None)
-    #: Closure-sketch uint64 views over the payload's sketch section
-    #: (``None`` each when the payload has none) — consumed by
-    #: ``PreparedDataGraph.from_mapped`` as in-place ``ClosureSketches``
-    #: columns, exactly like the mask rows.
-    out_card: object = field(repr=False, default=None)
-    in_card: object = field(repr=False, default=None)
-    out_sig: object = field(repr=False, default=None)
-    in_sig: object = field(repr=False, default=None)
 
 
 class MmapBlockBackend(BlockBackendBase):
@@ -266,13 +258,11 @@ class MmapBlockBackend(BlockBackendBase):
         with the overlay's replayed rows layered copy-on-write over the
         mapped base — the same :class:`_CowMatrix` shape
         :meth:`evolve_rows` produces — and the header patched to
-        describe the chain leaf.  Mapped sketches are dropped in that
-        case: the base file's sketch section is stale for every evolved
-        row, so the hydrated index resketches lazily (bit-identical).
+        describe the chain leaf.
         """
         mapping = _shared_mapping(region)
         start = region.payload_offset
-        header, n, width, masks, sketch = _parse_payload(
+        header, n, width, masks = _parse_payload(
             mapping.buffer, start, start + region.payload_length
         )
         words = width // 8
@@ -303,19 +293,11 @@ class MmapBlockBackend(BlockBackendBase):
                 "num_edges": overlay.num_edges,
                 "prepare_seconds": overlay.prepare_seconds,
             }
-            header.pop("sketch", None)
-            sketch = None  # base sketches are stale for evolved rows
         from_ints = _MappedIntRows(from_rows)
         to_ints = _MappedIntRows(to_rows)
         rows = _MappedRows(
             from_rows, to_rows, from_ints, to_ints, n, words, mapping
         )
-        sketch_columns = {}
-        if sketch is not None:
-            columns = np.frombuffer(sketch, dtype="<u8").reshape(4, n)
-            sketch_columns = dict(
-                zip(("out_card", "in_card", "out_sig", "in_sig"), columns)
-            )
         return MappedPayload(
             header=header,
             backend_name=self.name,
@@ -325,7 +307,6 @@ class MmapBlockBackend(BlockBackendBase):
             cycle_mask=cycle_mask,
             mask_section_bytes=len(masks),
             region=region,
-            **sketch_columns,
         )
 
     def evolve_rows(

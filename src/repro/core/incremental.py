@@ -444,56 +444,7 @@ def evolve_prepared(
         }
         return rebuilt
     evolved.prepare_seconds = watch.elapsed
-    _carry_sketches(prepared, delta, evolved)
     return evolved
-
-
-def _carry_sketches(prepared, delta, evolved) -> None:
-    """Splice closure sketches through an evolution where provably valid.
-
-    A node's sketch depends on its own closure rows and on *every*
-    closure member's label, so carrying is attempted only when the delta
-    touched no label (``relabeled`` also covers weights — conservative)
-    and removed no node (removals shift bit positions).  Rows shared by
-    reference with the base index keep their sketch entries — identical
-    objects mean identical closures, and untouched labels mean identical
-    planes; recomputed or appended rows get fresh ones.  A base index
-    that never built sketches leaves the evolved one lazy, and the
-    result is always bit-identical to a cold build's sketches.
-    """
-    base = prepared._sketches
-    if base is None or delta.relabeled or delta.removed_nodes:
-        return
-    old_n = len(prepared.nodes2)
-    if evolved.nodes2[:old_n] != prepared.nodes2:
-        return
-    from repro.core.prefilter import ClosureSketches, label_planes, node_sketch
-
-    graph2 = evolved.graph
-    planes = label_planes([graph2.label(u) for u in evolved.nodes2])
-    out_card: list[int] = []
-    in_card: list[int] = []
-    out_sig: list[int] = []
-    in_sig: list[int] = []
-    for i in range(len(evolved.nodes2)):
-        if (
-            i < old_n
-            and evolved.from_mask[i] is prepared.from_mask[i]
-            and evolved.to_mask[i] is prepared.to_mask[i]
-        ):
-            oc = int(base.out_card[i])
-            ic = int(base.in_card[i])
-            osig = int(base.out_sig[i])
-            isig = int(base.in_sig[i])
-        else:
-            oc, ic, osig, isig = node_sketch(
-                evolved.from_mask[i], evolved.to_mask[i], planes
-            )
-        out_card.append(oc)
-        in_card.append(ic)
-        out_sig.append(osig)
-        in_sig.append(isig)
-    evolved._sketches = ClosureSketches(out_card, in_card, out_sig, in_sig)
 
 
 def _new_instance(cls, graph2, nodes2, fingerprint):
@@ -608,8 +559,7 @@ def _evolve_decremental(cls, prepared, delta, graph2, cutoff, fingerprint):
         acyclic=not dirty_backward_bits & prepared.cycle_mask,
     )
 
-    # Splice: unchanged rows pass through by reference (big ints are
-    # immutable), which also lets the sketch carry keep their entries.
+    # Splice: unchanged rows pass through by reference (big ints are immutable).
     from_mask = list(prepared.from_mask)
     for p, mask in changed_f.items():
         from_mask[p] = mask

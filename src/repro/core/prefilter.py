@@ -19,9 +19,10 @@ of that, in three rungs:
      label hashes here", a clear bit proves the label set excludes
      every label hashing there).
 
-   Sketches persist in the store payload (an optional section) and
-   evolve incrementally with ``apply_delta``; the numpy backend views
-   them in place like mask rows.
+   Sketches are derived, never stored: a prepared index builds them
+   from its closure rows and labels the first time a ``strict``
+   workspace reads them, whether the index was built cold, hydrated
+   from the store or evolved by ``apply_delta``.
 
 2. **Transparent similarity gating** (:class:`LabelEqualitySimilarity`,
    :func:`label_gate_of`, :func:`gated_candidate_rows`) — a similarity
@@ -106,8 +107,7 @@ Node = Hashable
 PREFILTER_MODES = ("auto", "off", "strict")
 
 #: Width of the hashed label-set signatures.  64 keeps a signature a
-#: single machine word: one per-node uint64 in the store payload, viewed
-#: in place by the numpy backend exactly like a mask-row word.
+#: single machine word.
 SIG_BITS = 64
 
 
@@ -173,17 +173,14 @@ def node_sketch(
 class ClosureSketches:
     """Per-node closure sketches of a prepared data graph.
 
-    Each field is a length-``n`` sequence aligned with the prepared
-    index's node enumeration.  Plain lists of ints when built in
-    process; uint64 array views over the store file when hydrated by the
-    numpy backend — consumers coerce entries with ``int()`` at the access
-    point.
+    Each field is a length-``n`` list of ints aligned with the prepared
+    index's node enumeration, built by :func:`build_sketches`.
     """
 
-    out_card: Sequence[int]
-    in_card: Sequence[int]
-    out_sig: Sequence[int]
-    in_sig: Sequence[int]
+    out_card: list[int]
+    in_card: list[int]
+    out_sig: list[int]
+    in_sig: list[int]
 
     def __len__(self) -> int:
         return len(self.out_card)
@@ -348,10 +345,10 @@ def strict_filter_rows(
         kept = {
             u_idx: score
             for u_idx, score in row.items()
-            if need_out <= int(out_card[u_idx])
-            and need_in <= int(in_card[u_idx])
-            and exclude(sig_out, int(out_sig[u_idx])) == 0
-            and exclude(sig_in, int(in_sig[u_idx])) == 0
+            if need_out <= out_card[u_idx]
+            and need_in <= in_card[u_idx]
+            and exclude(sig_out, out_sig[u_idx]) == 0
+            and exclude(sig_in, in_sig[u_idx]) == 0
         }
         pruned += len(row) - len(kept)
         filtered.append(kept)

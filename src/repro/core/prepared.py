@@ -52,7 +52,7 @@ def _aligned_row_bytes(num_nodes: int) -> int:
     return 8 * max(1, (num_nodes + 63) // 64)
 
 
-def _payload_head(prepared: "PreparedDataGraph", include_sketches: bool) -> bytes:
+def _payload_head(prepared: "PreparedDataGraph") -> bytes:
     """The header line :meth:`PreparedDataGraph.to_payload` writes, padded
     with zeros to the 8-byte boundary the mask section starts on."""
     n = len(prepared.nodes2)
@@ -65,8 +65,6 @@ def _payload_head(prepared: "PreparedDataGraph", include_sketches: bool) -> byte
         "node_reprs": [repr(node) for node in prepared.nodes2],
         "prepare_seconds": prepared.prepare_seconds,
     }
-    if include_sketches:
-        header["sketch"] = True
     head = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
     return head + b"\x00" * (-len(head) % 8)
 
@@ -93,21 +91,17 @@ def _split_payload(buffer, start: int = 0, end: int | None = None):
 def _parse_payload(buffer, start: int = 0, end: int | None = None):
     """The :meth:`PreparedDataGraph.to_payload` layout, checked and split.
 
-    ``(header, n, width, masks, sketch)``: ``masks`` views the ``2n+1``
-    rows of ``width`` bytes (``from_mask``, ``to_mask``, cycle row) and
-    ``sketch`` the four ``n``-entry uint64 sketch columns, or is ``None``
-    when the payload carries none.  Both are memoryviews over ``buffer``
-    (see :func:`_split_payload`), so a mapped payload is never copied.
-    Any geometry defect raises :class:`ValueError`.
+    ``(header, n, width, masks)``: ``masks`` views the ``2n+1`` rows of
+    ``width`` bytes (``from_mask``, ``to_mask``, cycle row) — a
+    memoryview over ``buffer`` (see :func:`_split_payload`), so a mapped
+    payload is never copied.  The body must be exactly those rows; any
+    geometry defect raises :class:`ValueError`.
     """
     header, body = _split_payload(buffer, start, end)
     n, width = PreparedDataGraph.header_geometry(header)
-    mask_bytes = (2 * n + 1) * width
-    with_sketch = bool(header.get("sketch"))
-    if len(body) != mask_bytes + (4 * 8 * n if with_sketch else 0):
+    if len(body) != (2 * n + 1) * width:
         raise ValueError("payload mask section is truncated or oversized")
-    sketch = body[mask_bytes:] if with_sketch else None
-    return header, n, width, body[:mask_bytes], sketch
+    return header, n, width, body
 
 
 def _int_rows(view, width: int) -> list[int]:
@@ -136,10 +130,9 @@ class PreparedDataGraph:
     mapped = None
 
     #: Per-node closure sketches (:class:`~repro.core.prefilter.ClosureSketches`),
-    #: populated lazily by :attr:`sketches` — or eagerly when a payload /
-    #: mapped open carried a sketch section.  A class-level default keeps
-    #: every construction path (including ``__new__``-based evolution)
-    #: covered without touching each one.
+    #: built by :attr:`sketches` on first use and never stored.  A
+    #: class-level default keeps every construction path (including
+    #: ``__new__``-based evolution) covered without touching each one.
     _sketches = None
 
     #: Lazy label → data-node list index (:attr:`label_index`).
@@ -196,10 +189,11 @@ class PreparedDataGraph:
     def sketches(self):
         """Per-node closure sketches for the prefilter pipeline, lazy.
 
-        Built from the closure rows and node labels on first use (see
-        :func:`repro.core.prefilter.build_sketches`); payload and mapped
-        hydration paths pre-populate this when the store file carried a
-        sketch section, so a warm open never recomputes.
+        Built from the closure rows and node labels the first time a
+        ``strict`` workspace reads them (see
+        :func:`repro.core.prefilter.build_sketches`) — on a cold,
+        hydrated or evolved index alike, since they depend on nothing
+        else.
         """
         if self._sketches is None:
             from repro.core.prefilter import build_sketches
@@ -226,7 +220,7 @@ class PreparedDataGraph:
     # ------------------------------------------------------------------
     # Serialization (the payload of repro.core.store's index files)
     # ------------------------------------------------------------------
-    def to_payload(self, include_sketches: bool = True) -> bytes:
+    def to_payload(self) -> bytes:
         """Encode the index as bytes: a JSON header line + raw mask rows.
 
         The header records the fingerprint, node/edge counts, the node
@@ -238,29 +232,12 @@ class PreparedDataGraph:
         mask — mappable in place (see :data:`PAYLOAD_LAYOUT`).  File
         framing (magic, version, checksum) is :mod:`repro.core.store`'s
         concern; :func:`_parse_payload` reads the layout back.
-
-        With ``include_sketches`` (the default), the per-node closure
-        sketches follow the cycle row as four ``n × 8``-byte
-        little-endian uint64 arrays — ``out_card``, ``in_card``,
-        ``out_sig``, ``in_sig`` — and the header gains ``"sketch"``.
-        Readers of a payload without the key recompute sketches lazily;
-        the section start is 8-byte aligned (rows are whole words), so
-        the numpy backend views each array in place.
         """
         width = _aligned_row_bytes(len(self.nodes2))
-        parts = [_payload_head(self, include_sketches)]
+        parts = [_payload_head(self)]
         parts.extend(mask.to_bytes(width, "little") for mask in self.from_mask)
         parts.extend(mask.to_bytes(width, "little") for mask in self.to_mask)
         parts.append(self.cycle_mask.to_bytes(width, "little"))
-        if include_sketches:
-            sketches = self.sketches
-            for column in (
-                sketches.out_card,
-                sketches.in_card,
-                sketches.out_sig,
-                sketches.in_sig,
-            ):
-                parts.extend(int(entry).to_bytes(8, "little") for entry in column)
         return b"".join(parts)
 
     @staticmethod
@@ -296,13 +273,13 @@ class PreparedDataGraph:
         truncated payload) raises :class:`ValueError`.  The store layer
         treats such failures as cache misses.
         """
-        header, n, width, masks, sketch = _parse_payload(payload)
+        header, n, width, masks = _parse_payload(payload)
         if graph2.num_nodes() != n or graph2.num_edges() != header["num_edges"]:
             raise ValueError("payload does not describe this graph (counts differ)")
         if [repr(node) for node in graph2.nodes()] != header["node_reprs"]:
             raise ValueError("payload node order differs from the graph's")
         rows = _int_rows(masks, width)
-        self = cls.from_rows(
+        return cls.from_rows(
             graph2,
             rows[:n],
             rows[n : 2 * n],
@@ -312,14 +289,6 @@ class PreparedDataGraph:
             # The *original* build cost — a loaded index never paid it again.
             prepare_seconds=header["prepare_seconds"],
         )
-        if sketch is not None:
-            from repro.core.prefilter import ClosureSketches
-
-            columns = _int_rows(sketch, 8)
-            self._sketches = ClosureSketches(
-                *(columns[c * n : (c + 1) * n] for c in range(4))
-            )
-        return self
 
     @classmethod
     def from_rows(
@@ -392,14 +361,6 @@ class PreparedDataGraph:
             num_edges=header["num_edges"],
             prepare_seconds=header["prepare_seconds"],
         )
-        if payload.out_card is not None:
-            from repro.core.prefilter import ClosureSketches
-
-            # Sketch arrays are uint64 views over the mapped file —
-            # shared in place, coerced to int at each access point.
-            self._sketches = ClosureSketches(
-                payload.out_card, payload.in_card, payload.out_sig, payload.in_sig
-            )
         # Pre-seed the opening backend's native rows: they already exist
         # (matrix views over the mapping), so build_rows must never run.
         self._backend_rows = {payload.backend_name: payload.rows}

@@ -223,14 +223,13 @@ def _decode_delta(
 
 def _estimate_full_bytes(prepared: PreparedDataGraph) -> int:
     """Bytes a full ``save(prepared)`` would write (header built for
-    real, mask/sketch sections by geometry) — the write amplification a
-    delta record avoids, without serialising any row to find out."""
+    real, mask section by geometry) — the write amplification a delta
+    record avoids, without serialising any row to find out."""
     n = len(prepared.nodes2)
     return (
         _ENVELOPE_LEN
-        + len(_payload_head(prepared, include_sketches=True))
+        + len(_payload_head(prepared))
         + (2 * n + 1) * _aligned_row_bytes(n)
-        + 4 * 8 * n
     )
 
 
@@ -319,12 +318,12 @@ class PayloadRegion:
     ``payload_sha256`` is the envelope's payload checksum — the content
     identity mapping caches must *also* key on, because a rewrite to the
     same byte length within the filesystem's mtime granularity (an
-    ``index compact`` flattening a chain, a re-warm with different
-    sketch options) leaves size and mtime_ns unchanged while the bytes
-    differ.  For a delta-chained fingerprint the coordinates describe
-    the *base* file and ``overlay`` carries the replayed rows to layer
-    over it (``payload_sha256`` stays the base file's — it names the
-    mapped bytes).
+    ``index compact`` flattening a chain, a ``--force`` re-warm) leaves
+    size and mtime_ns unchanged while the bytes differ.  For a
+    delta-chained fingerprint the coordinates describe the *base* file
+    and ``overlay`` carries the replayed rows to layer over it
+    (``payload_sha256`` stays the base file's — it names the mapped
+    bytes).
     """
 
     path: Path
@@ -422,7 +421,7 @@ class PreparedIndexStore:
             payload = self._read_payload(path)
             if payload is not None:
                 try:
-                    header, _, _, masks, _ = _parse_payload(payload)
+                    header, _, _, masks = _parse_payload(payload)
                     info = path.stat()
                     listed.append(
                         StoreEntry(
@@ -471,18 +470,13 @@ class PreparedIndexStore:
     # ------------------------------------------------------------------
     # Save / load / remove
     # ------------------------------------------------------------------
-    def save(
-        self, prepared: PreparedDataGraph, include_sketches: bool = True
-    ) -> Path:
+    def save(self, prepared: PreparedDataGraph) -> Path:
         """Write ``prepared`` to the store atomically; returns the path.
 
         An existing file for the same fingerprint is replaced (it
         necessarily described identical content, so this is idempotent).
-        ``include_sketches=False`` omits the payload's closure-sketch
-        section (readers recompute lazily; ``index warm --prefilter off``
-        uses this).
         """
-        payload = prepared.to_payload(include_sketches=include_sketches)
+        payload = prepared.to_payload()
         path = self.path_for(prepared.fingerprint)
         self._write_blob(path, _envelope(_MAGIC, payload) + payload)
         return path
@@ -611,8 +605,7 @@ class PreparedIndexStore:
         if payload is None:
             return None
         try:
-            # Any sketch section is ignored: replayed indexes resketch lazily.
-            base_header, n, width, masks, _ = _parse_payload(payload)
+            base_header, n, width, masks = _parse_payload(payload)
         except (ValueError, KeyError, TypeError):
             return None
         node_reprs = base_header.get("node_reprs")

@@ -68,6 +68,78 @@ def warm_store(tmp_path, graph):
     return store, prepared
 
 
+def hand_payload(prepared, width: int, pad: bool, **extra) -> bytes:
+    """``prepared``'s mask rows under a hand-written header: ``width``
+    bytes per row, header padding to 8 bytes only when ``pad``, and
+    ``extra`` header keys (an older release's layout)."""
+    header = {
+        "fingerprint": prepared.fingerprint,
+        "num_nodes": prepared.num_nodes(),
+        "num_edges": prepared.num_edges(),
+        **extra,
+        "row_bytes": width,
+        "node_reprs": [repr(node) for node in prepared.nodes2],
+        "prepare_seconds": prepared.prepare_seconds,
+    }
+    head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    parts = [head, b"\x00" * (-len(head) % 8) if pad else b""]
+    parts.extend(m.to_bytes(width, "little") for m in prepared.from_mask)
+    parts.extend(m.to_bytes(width, "little") for m in prepared.to_mask)
+    parts.append(prepared.cycle_mask.to_bytes(width, "little"))
+    return b"".join(parts)
+
+
+def assert_rebuilds(tmp_path, graph, prepared, files):
+    """Each ``name -> (version, reserved, body)`` store file reads as a
+    miss under the ``python`` and ``numpy`` services: the first request
+    prepares once and rewrites the file as the current format, exactly
+    envelope + header + ``(2n+1)`` rows, which a fresh service then hits
+    on disk."""
+    n = prepared.num_nodes()
+    mask_bytes = (2 * n + 1) * 8 * max(1, (n + 63) // 64)
+    for name, (version, reserved, body) in files.items():
+        for backend in ("python", "numpy"):
+            store = PreparedIndexStore(tmp_path / f"{name}-{backend}")
+            path = store.path_for(prepared.fingerprint)
+            path.write_bytes(
+                b"".join(
+                    (
+                        b"RPHOMIDX",
+                        version.to_bytes(4, "little"),
+                        reserved,
+                        len(body).to_bytes(8, "little"),
+                        hashlib.sha256(body).digest(),
+                        body,
+                    )
+                )
+            )
+            assert store.load(prepared.fingerprint, graph) is None
+            region = store.payload_region(prepared.fingerprint)
+            if version == STORE_VERSION:  # current envelope, stale payload
+                with pytest.raises(ValueError):
+                    get_backend("numpy").open_payload(region)
+            else:
+                assert region is None
+
+            first = MatchingService(store_dir=str(store.store_dir), backend=backend)
+            rebuilt = first.prepared_for(graph)
+            assert list(rebuilt.from_mask) == list(prepared.from_mask)
+            snap = first.stats.snapshot()
+            assert snap["disk_hits"] == 0 and snap["prepares"] == 1, (name, backend)
+            blob = path.read_bytes()
+            assert int.from_bytes(blob[8:12], "little") == STORE_VERSION
+            head = blob.index(b"\n", 56) + 1 - 56
+            head += -head % 8
+            assert len(blob) == 56 + head + mask_bytes, (name, backend)
+            [entry] = store.entries()
+            assert entry.version == STORE_VERSION
+
+            fresh = MatchingService(store_dir=str(store.store_dir), backend=backend)
+            fresh.prepared_for(graph)
+            snap = fresh.stats.snapshot()
+            assert snap["disk_hits"] == 1 and snap["prepares"] == 0, (name, backend)
+
+
 def open_mapped(store, graph, prepared, verify: str = "full"):
     backend = get_backend("mmap")
     region = store.payload_region(prepared.fingerprint, verify=verify)
@@ -100,10 +172,8 @@ class TestStoreFormat:
         mask_offset = payload.index(b"\n") + 1
         mask_offset += -mask_offset % 8
         assert (region.payload_offset + mask_offset) % 8 == 0
-        # masks, then (when the header declares them) the four 8-byte
-        # prefilter sketch columns of the v3 section
-        sketch_bytes = 4 * 8 * n if header.get("sketch") else 0
-        assert len(payload) - mask_offset == (2 * n + 1) * width + sketch_bytes
+        # ...and the mask rows are all that follows the header.
+        assert len(payload) - mask_offset == (2 * n + 1) * width
 
     def test_pre_v3_files_rebuild(self, tmp_path):
         """Hand-made version-1 and version-2 files read as a miss: the
@@ -112,64 +182,34 @@ class TestStoreFormat:
         graph = build_graph()
         prepared = prepare_data_graph(graph)
         n = prepared.num_nodes()
-
-        def payload(width: int, pad: bool, **extra) -> bytes:
-            header = {
-                "fingerprint": prepared.fingerprint,
-                "num_nodes": n,
-                "num_edges": prepared.num_edges(),
-                **extra,
-                "row_bytes": width,
-                "node_reprs": [repr(node) for node in prepared.nodes2],
-                "prepare_seconds": prepared.prepare_seconds,
-            }
-            head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
-            parts = [head, b"\x00" * (-len(head) % 8) if pad else b""]
-            parts.extend(m.to_bytes(width, "little") for m in prepared.from_mask)
-            parts.extend(m.to_bytes(width, "little") for m in prepared.to_mask)
-            parts.append(prepared.cycle_mask.to_bytes(width, "little"))
-            return b"".join(parts)
-
         # v1: 52-byte envelope, packed layout-1 rows; v2: 56-byte
-        # envelope (reserved word), word-aligned layout-2 rows, no sketch.
-        v1 = payload((n + 7) // 8, pad=False)
-        v2 = payload(8 * max(1, (n + 63) // 64), pad=True, layout=2)
-        old_files = {
-            1: (v1, b""),
-            2: (v2, b"\x00\x00\x00\x00"),
-        }
-        for version, (body, reserved) in old_files.items():
-            for backend in ("python", "numpy"):
-                store = PreparedIndexStore(tmp_path / f"v{version}-{backend}")
-                path = store.path_for(prepared.fingerprint)
-                path.write_bytes(
-                    b"".join(
-                        (
-                            b"RPHOMIDX",
-                            version.to_bytes(4, "little"),
-                            reserved,
-                            len(body).to_bytes(8, "little"),
-                            hashlib.sha256(body).digest(),
-                            body,
-                        )
-                    )
-                )
-                assert store.load(prepared.fingerprint, graph) is None
-                assert store.payload_region(prepared.fingerprint) is None
+        # envelope (reserved word), word-aligned layout-2 rows.
+        v1 = hand_payload(prepared, (n + 7) // 8, pad=False)
+        v2 = hand_payload(prepared, 8 * max(1, (n + 63) // 64), pad=True, layout=2)
+        assert_rebuilds(tmp_path, graph, prepared, {
+            "v1": (1, b"", v1),
+            "v2": (2, b"\x00\x00\x00\x00", v2),
+        })
 
-                first = MatchingService(store_dir=str(store.store_dir), backend=backend)
-                rebuilt = first.prepared_for(graph)
-                assert list(rebuilt.from_mask) == list(prepared.from_mask)
-                snap = first.stats.snapshot()
-                assert snap["disk_hits"] == 0 and snap["prepares"] == 1, (version, backend)
-                assert int.from_bytes(path.read_bytes()[8:12], "little") == STORE_VERSION
-                [entry] = store.entries()
-                assert entry.version == STORE_VERSION
-
-                fresh = MatchingService(store_dir=str(store.store_dir), backend=backend)
-                fresh.prepared_for(graph)
-                snap = fresh.stats.snapshot()
-                assert snap["disk_hits"] == 1 and snap["prepares"] == 0, (version, backend)
+    def test_sketch_section_files_rebuild(self, tmp_path):
+        """A v3 file that still carries the closure-sketch section older
+        releases appended (``"sketch": true`` in the header, four
+        ``n``-entry uint64 columns after the cycle row) fails the
+        payload length check, so it reads as a miss and is rewritten
+        without the section."""
+        graph = build_graph()
+        prepared = prepare_data_graph(graph)
+        n = prepared.num_nodes()
+        sketches = prepared.sketches
+        columns = (
+            sketches.out_card, sketches.in_card, sketches.out_sig, sketches.in_sig
+        )
+        body = hand_payload(
+            prepared, 8 * max(1, (n + 63) // 64), pad=True, layout=2, sketch=True
+        ) + b"".join(v.to_bytes(8, "little") for column in columns for v in column)
+        assert_rebuilds(tmp_path, graph, prepared, {
+            "sketch": (STORE_VERSION, b"\x00\x00\x00\x00", body),
+        })
 
     def test_entries_report_section_sizes(self, tmp_path):
         graph = build_graph()
@@ -501,7 +541,7 @@ class TestMappingInterningIdentity:
         stat_before = path.stat()
         blob = bytearray(path.read_bytes())
         offset = region_a.payload_offset
-        blob[-1] ^= 0xFF  # flip one payload byte (tail of the mask/sketch section)
+        blob[-1] ^= 0xFF  # flip one payload byte (tail of the cycle row)
         # Re-seal the envelope: checksum bytes sit at [24:56] for v2/v3.
         blob[24:56] = hashlib.sha256(bytes(blob[offset:])).digest()
         # Rewrite the way writers do: tmp + rename (a new inode), then

@@ -7,10 +7,10 @@ mappings, qualities and result stats to ``prefilter="off"`` — while the
 service counters prove real work was skipped (``pairs_pruned``,
 ``shards_skipped``).  A seeded fuzz sweep (200+ comparisons per backend
 leg: seeds × pick rules × label topologies × flat/sharded) pins exactly
-that; unit tests cover the sketch algebra, payload persistence (v3
-section, v2 read-compat, mmap views, incremental carry), the strict
-tier's validity guarantee, rendezvous-hashed corpus routing, and the
-workspace's candidate-row validation.
+that; unit tests cover the sketch algebra, sketches derived (never
+stored) on every hydration path (decode, mmap, chain overlay,
+evolution), the strict tier's validity guarantee, rendezvous-hashed
+corpus routing, and the workspace's candidate-row validation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core.backends import get_backend
 from repro.core.incremental import DeltaLog
 from repro.core.phom import check_phom_mapping
 from repro.core.prefilter import (
-    ClosureSketches,
     LabelEqualitySimilarity,
     PREFILTER_MODES,
     SIG_BITS,
@@ -47,6 +46,7 @@ from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.io import dump_json
 from repro.similarity.labels import label_equality_matrix
 from repro.utils.errors import InputError
+from repro.workload.scenario import Scenario
 from repro.__main__ import main
 
 
@@ -174,29 +174,32 @@ class TestSketchAlgebra:
 
 
 # ----------------------------------------------------------------------
-# Persistence: payload v3 section, v2 read-compat, mmap, incremental
+# Sketches are derived, not stored: decode, mmap, chain overlay, evolution
 # ----------------------------------------------------------------------
+def strict_answers(service, graph, patterns, sim, xi):
+    """``(mapping, quality, pairs_pruned)`` per pattern under ``strict``,
+    after checking the index holds no sketches before its first strict
+    request."""
+    assert service.prepared_for(graph)._sketches is None
+    answers = []
+    for pattern in patterns:
+        report = service.match(
+            pattern, graph, sim, xi, partitioned=True, prefilter="strict"
+        )
+        answers.append(
+            (report.result.mapping, report.quality,
+             report.result.stats["pairs_pruned"])
+        )
+    return answers
+
+
 class TestSketchPersistence:
     def test_payload_round_trip(self):
         _, graph2 = labeled_instance(11)
         prepared = PreparedDataGraph(graph2)
         restored = PreparedDataGraph.from_payload(graph2, prepared.to_payload())
-        assert restored._sketches is not None  # decoded, not recomputed
-        assert ClosureSketches(*map(list, (
-            restored.sketches.out_card, restored.sketches.in_card,
-            restored.sketches.out_sig, restored.sketches.in_sig,
-        ))) == prepared.sketches
-
-    def test_sketch_free_payload_reads_like_v2(self):
-        _, graph2 = labeled_instance(12)
-        prepared = PreparedDataGraph(graph2)
-        lean = prepared.to_payload(include_sketches=False)
-        assert len(lean) < len(prepared.to_payload())
-        restored = PreparedDataGraph.from_payload(graph2, lean)
-        assert restored._sketches is None
-        assert restored.from_mask == prepared.from_mask
-        # lazy recompute on demand, identical to the eager build
-        assert restored.sketches == prepared.sketches
+        assert restored._sketches is None  # derived on first use, not decoded
+        assert restored.sketches == PreparedDataGraph(graph2).sketches
 
     def test_store_round_trip_and_mmap_views(self, tmp_path):
         _, graph2 = labeled_instance(13)
@@ -205,6 +208,7 @@ class TestSketchPersistence:
         store.save(prepared)
         loaded = store.load(prepared.fingerprint, graph2)
         assert loaded is not None
+        assert loaded._sketches is None
         assert loaded.sketches == prepared.sketches
 
         backend = get_backend("mmap")
@@ -213,26 +217,8 @@ class TestSketchPersistence:
         mapped = PreparedDataGraph.from_mapped(
             graph2, backend.open_payload(region), fingerprint=prepared.fingerprint
         )
-        got = mapped.sketches
-        for column, want in zip(
-            (got.out_card, got.in_card, got.out_sig, got.in_sig),
-            (prepared.sketches.out_card, prepared.sketches.in_card,
-             prepared.sketches.out_sig, prepared.sketches.in_sig),
-        ):
-            assert [int(x) for x in column] == list(want)
-
-    def test_sketch_free_store_serves_mmap(self, tmp_path):
-        _, graph2 = labeled_instance(14)
-        prepared = PreparedDataGraph(graph2)
-        store = PreparedIndexStore(tmp_path)
-        store.save(prepared, include_sketches=False)
-        backend = get_backend("mmap")
-        region = store.payload_region(prepared.fingerprint, verify="full")
-        mapped = PreparedDataGraph.from_mapped(
-            graph2, backend.open_payload(region), fingerprint=prepared.fingerprint
-        )
         assert mapped._sketches is None
-        assert mapped.sketches == prepared.sketches  # lazy fallback
+        assert mapped.sketches == prepared.sketches
 
     def test_incremental_carry_matches_cold(self):
         _, graph2 = labeled_instance(15, n2=30)
@@ -244,7 +230,7 @@ class TestSketchPersistence:
         graph2.add_node("fresh", label="L0")
         graph2.add_edge(nodes[1], "fresh")
         evolved = prepared.apply_delta(log)
-        assert evolved._sketches is not None  # carried, not lazily dropped
+        assert evolved._sketches is None  # nothing carried: derived on use
         cold = PreparedDataGraph(graph2)
         assert evolved.sketches == cold.sketches
 
@@ -256,8 +242,49 @@ class TestSketchPersistence:
         victim = next(iter(graph2.nodes()))
         graph2.set_label(victim, "relabeled")
         evolved = prepared.apply_delta(log)
-        # conservative: recomputed lazily, still correct
+        # a relabel changes other nodes' signatures: derived afresh
         assert evolved.sketches == PreparedDataGraph(graph2).sketches
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_strict_answers_do_not_depend_on_hydration(self, tmp_path, seed):
+        """Decoded, mapped, overlay-mapped and evolved indexes answer
+        ``strict`` exactly as a cold one: sketches depend only on the
+        closure rows and labels every hydration path reproduces."""
+        scenario = Scenario(seed=seed)
+        sim, xi, patterns = scenario.similarity, scenario.xi, scenario.patterns
+        base = scenario.corpus.copy()
+        cold = strict_answers(MatchingService(), base, patterns, sim, xi)
+        assert sum(pruned for *_, pruned in cold) > 0
+
+        store = PreparedIndexStore(tmp_path)
+        store.save(PreparedDataGraph(base))
+        for backend, tier in (("python", "disk_hits"), ("numpy", "mmap_opens")):
+            service = MatchingService(store=store, backend=backend)
+            graph = base.copy()
+            assert strict_answers(service, graph, patterns, sim, xi) == cold
+            snap = service.stats.snapshot()
+            assert snap[tier] == 1 and snap["prepares"] == 0, (backend, snap)
+
+        # In memory: a served graph mutates and its index evolves.  The
+        # base index already built sketches; the evolved one derives its own.
+        live = MatchingService()
+        assert strict_answers(live, scenario.corpus, patterns, sim, xi) == cold
+        scenario.mutate(random.Random(seed))
+        mutated = scenario.corpus
+        live.update_graph(mutated)
+        assert live.stats.snapshot()["delta_hits"] == 1
+        cold = strict_answers(MatchingService(), mutated.copy(), patterns, sim, xi)
+        assert strict_answers(live, mutated, patterns, sim, xi) == cold
+
+        # On disk: the same edit chained onto the store, then mapped as
+        # the base file plus a copy-on-write overlay of replayed rows.
+        _, info = store.evolve(base, mutated.copy(), chain=True)
+        assert info["action"] == "chained", info
+        region = store.payload_region(graph_fingerprint(mutated))
+        assert region is not None and region.overlay is not None
+        service = MatchingService(store=store, backend="numpy")
+        assert strict_answers(service, mutated.copy(), patterns, sim, xi) == cold
+        assert service.stats.snapshot()["mmap_opens"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -516,15 +543,3 @@ class TestCountersAndCli:
         ]) == 0
         off_payload = json.loads(capsys.readouterr().out)
         assert auto_payload["mapping"] == off_payload["mapping"]
-
-    def test_cli_warm_prefilter_off_writes_lean_payload(self, tmp_path, capsys):
-        _, graph2 = self.pattern_pair()
-        dpath = tmp_path / "data.json"
-        dump_json(graph2, dpath)
-        assert main(["index", "warm", str(tmp_path / "lean"), str(dpath),
-                     "--prefilter", "off"]) == 0
-        assert main(["index", "warm", str(tmp_path / "full"), str(dpath)]) == 0
-        capsys.readouterr()
-        lean = next((tmp_path / "lean").glob("*.phomidx")).stat().st_size
-        full = next((tmp_path / "full").glob("*.phomidx")).stat().st_size
-        assert lean < full

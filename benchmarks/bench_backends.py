@@ -26,7 +26,8 @@ import pytest
 from repro.core.api import match_prepared
 from repro.core.backends import available_backends, get_backend
 from repro.core.engine import comp_max_card_engine
-from repro.core.prepared import PreparedDataGraph, prepare_data_graph
+from repro.core.prepared import prepare_data_graph
+from repro.core.store import PreparedIndexStore
 from repro.core.workspace import MatchingWorkspace
 from repro.graph.digraph import DiGraph
 from repro.similarity.matrix import SimilarityMatrix
@@ -88,8 +89,8 @@ def _solve_seconds(workspace: MatchingWorkspace):
 
 @needs_numpy
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"n{s[0]}")
-def test_backend_equivalence(shape):
-    """Bit-identical σ/reports and payload hydration across backends."""
+def test_backend_equivalence(shape, tmp_path):
+    """Bit-identical σ/reports and store hydration across backends."""
     data, pattern, mat, prepared = _workload(*shape)
 
     pairs_py, stats_py, _ = _solve_seconds(_workspace(shape, "python"))
@@ -105,9 +106,10 @@ def test_backend_equivalence(shape):
     assert report_py.quality == report_np.quality
     assert report_py.result.mapping == report_np.result.mapping
 
-    # One PR-2 store payload hydrates into *both* backends bit-identically.
-    payload = prepared.to_payload()
-    restored = PreparedDataGraph.from_payload(data, payload)
+    # One stored index hydrates into *both* backends bit-identically.
+    store = PreparedIndexStore(tmp_path)
+    store.save(prepared)
+    restored = store.load(prepared.fingerprint, data)
     assert restored.from_mask == prepared.from_mask
     numpy_backend = get_backend("numpy")
     rows = restored.backend_rows(numpy_backend)

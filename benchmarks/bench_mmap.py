@@ -1,13 +1,15 @@
 """Mapped store hydration's headline claims, measured and asserted.
 
-The ``"numpy"`` backend (``"mmap"`` is its alias; see
-``core/backends/mmap_block.py``) serves store hits by mapping the file.
+Every store hit maps the file (``core/store.py``'s ``map_payload``), and
+the ``"numpy"`` backend (``"mmap"`` is its alias; see
+``core/backends/mmap_block.py``) views the mapped mask rows in place.
 Three claims ride on that, and this module is their evidence.  Each
 compares two hydrations that both solve on the numpy kernels:
 
-* **decoded** — a ``python`` service loads the payload (read + sha256 +
-  big-int decode) and a per-call ``backend="numpy"`` solve packs the
-  uint64 rows from the big ints;
+* **decoded** — the benchmark decodes the stored file itself, the way a
+  decoding store tier would (``bench_utils.decode_stored_index``: read +
+  sha256 + payload parse + big-int decode), and a per-call
+  ``backend="numpy"`` solve packs the uint64 rows from the big ints;
 * **mapped** — a ``numpy`` service maps the file (a stat, a sidecar
   check, and an ``np.frombuffer`` view).
 
@@ -19,9 +21,10 @@ compares two hydrations that both solve on the numpy kernels:
    prepared graphs *larger than the service LRU* from one warm store,
    once per hydration, in a fresh **subprocess** each (``ru_maxrss`` is
    a process-lifetime high-water mark, so honest comparison requires
-   process isolation).  The mapped child's peak RSS must come in under
-   the decoded child's: decoded payloads and packed rows are anonymous
-   memory, mapped rows are evictable page cache.
+   process isolation); the decoded child keeps its own ``RSS_LRU``-entry
+   LRU of decoded indexes.  The mapped child's peak RSS must come in
+   under the decoded child's: decoded payloads and packed rows are
+   anonymous memory, mapped rows are evictable page cache.
 3. **Bit-identical answers** — every hydration path above is checked
    against the ``python`` reference mapping; the CI smoke
    (``test_mmap_equivalence``) asserts σ/quality/report identity across
@@ -44,12 +47,14 @@ from pathlib import Path
 
 import pytest
 
+from bench_utils import decode_stored_index
 from repro.core.api import match_prepared
 from repro.core.backends import available_backends, get_backend
 from repro.core.prepared import PreparedDataGraph, prepare_data_graph
 from repro.core.service import MatchingService
 from repro.core.store import PreparedIndexStore
 from repro.graph.digraph import DiGraph
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.io import dump_json
 from repro.similarity.matrix import SimilarityMatrix
 
@@ -70,8 +75,8 @@ needs_numpy = pytest.mark.skipif(
     "numpy" not in available_backends(), reason="numpy backend unavailable"
 )
 
-#: Service backend per hydration; both solve with ``backend="numpy"``.
-HYDRATIONS = {"decoded": "python", "mapped": "numpy"}
+#: The two hydrations compared; both solve with ``backend="numpy"``.
+HYDRATIONS = ("decoded", "mapped")
 
 #: Both measurements land in ONE ``BENCH_mmap.json``: each test merges
 #: its section here and rewrites the artifact (tests run in file order,
@@ -113,20 +118,28 @@ def _pattern_and_matrix(graph: DiGraph, seed: int, pattern_nodes: int):
     return pattern, mat
 
 
+def _decoded(store_dir: str, graph: DiGraph) -> PreparedDataGraph:
+    """``graph``'s stored index decoded in full (fingerprint included, as
+    a service lookup computes it)."""
+    return decode_stored_index(store_dir, graph, graph_fingerprint(graph))
+
+
 def _hydrate_seconds(store_dir: str, hydration: str, graph: DiGraph) -> float:
-    """Seconds from a cold service to first-match-ready numpy rows, warm
+    """Seconds from a cold start to first-match-ready numpy rows, warm
     store."""
-    service = MatchingService(
-        max_prepared=RSS_LRU, store_dir=store_dir, backend=HYDRATIONS[hydration]
-    )
+    numpy_backend = get_backend("numpy")
+    if hydration == "decoded":
+        start = time.perf_counter()
+        _decoded(store_dir, graph).backend_rows(numpy_backend)
+        return time.perf_counter() - start
+    service = MatchingService(max_prepared=RSS_LRU, store_dir=store_dir, backend="numpy")
     start = time.perf_counter()
     prepared = service.prepared_for(graph)
-    prepared.backend_rows(get_backend("numpy"))  # what the first solve needs
+    prepared.backend_rows(numpy_backend)  # what the first solve needs
     elapsed = time.perf_counter() - start
     snapshot = service.stats.snapshot()
     assert snapshot["prepares"] == 0, "store was not warm"
-    assert snapshot["disk_hits"] == 1
-    assert snapshot["mmap_opens"] == int(hydration == "mapped")
+    assert snapshot["disk_hits"] == 1 and snapshot["mmap_opens"] == 1
     return elapsed
 
 
@@ -201,16 +214,16 @@ def test_mmap_cold_start(tmp_path, bench_json):
 
     # Bit-identity of the first match served from each hydration.
     mappings = {}
-    for name, (service_backend, solve_backend) in {
-        "python": ("python", "python"),
-        "decoded": ("python", "numpy"),
-        "mapped": ("numpy", "numpy"),
-    }.items():
+    for name, service_backend in {"python": "python", "mapped": "numpy"}.items():
         service = MatchingService(
             max_prepared=RSS_LRU, store_dir=str(tmp_path), backend=service_backend
         )
-        report = service.match(pattern, graph, mat, XI, backend=solve_backend)
+        report = service.match(pattern, graph, mat, XI, backend=service_backend)
         mappings[name] = (report.matched, report.quality, report.result.mapping)
+    report = match_prepared(
+        pattern, _decoded(str(tmp_path), graph), mat, XI, backend="numpy"
+    )
+    mappings["decoded"] = (report.matched, report.quality, report.result.mapping)
     assert mappings["decoded"] == mappings["python"]
     assert mappings["mapped"] == mappings["python"]
 
@@ -236,29 +249,57 @@ def test_mmap_cold_start(tmp_path, bench_json):
 # ----------------------------------------------------------------------
 _CHILD = """\
 import json, resource, sys
+from collections import OrderedDict
+from repro.core.api import match_prepared
 from repro.core.service import MatchingService
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.io import load_json
 from repro.similarity.labels import label_equality_matrix
 
 config = json.loads(sys.argv[1])
-service = MatchingService(
-    max_prepared=config["lru"],
-    store_dir=config["store_dir"],
-    backend=config["backend"],
-)
+if config["hydration"] == "mapped":
+    service = MatchingService(
+        max_prepared=config["lru"], store_dir=config["store_dir"], backend="numpy"
+    )
+
+    def solve(pattern, data, mat):
+        return service.match(pattern, data, mat, config["xi"], backend="numpy")
+
+    def stats():
+        return service.stats.snapshot()
+else:
+    from bench_utils import decode_stored_index
+
+    decoded = OrderedDict()  # fingerprint -> index, the last config["lru"] used
+    loads = 0
+
+    def solve(pattern, data, mat):
+        global loads
+        fingerprint = graph_fingerprint(data)
+        prepared = decoded.pop(fingerprint, None)
+        if prepared is None:
+            prepared = decode_stored_index(config["store_dir"], data, fingerprint)
+            loads += 1
+        decoded[fingerprint] = prepared
+        while len(decoded) > config["lru"]:
+            decoded.popitem(last=False)
+        return match_prepared(pattern, prepared, mat, config["xi"], backend="numpy")
+
+    def stats():
+        return {"loads": loads}
 results = []
 for _ in range(config["rounds"]):
     for data_path, pattern_path in config["corpus"]:
         data = load_json(data_path)
         pattern = load_json(pattern_path)
         mat = label_equality_matrix(pattern, data)
-        report = service.match(pattern, data, mat, config["xi"], backend="numpy")
+        report = solve(pattern, data, mat)
         results.append(
             [report.matched, report.quality, sorted(map(str, report.result.mapping.items()))]
         )
 print(json.dumps({
     "peak_rss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-    "stats": service.stats.snapshot(),
+    "stats": stats(),
     "results": results,
 }))
 """
@@ -266,9 +307,11 @@ print(json.dumps({
 
 def _serve_corpus_in_child(hydration: str, config: dict) -> dict:
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    payload = json.dumps(dict(config, backend=HYDRATIONS[hydration]))
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        (str(here.parent / "src"), str(here), env.get("PYTHONPATH", ""))
+    )
+    payload = json.dumps(dict(config, hydration=hydration))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, payload],
         capture_output=True,
@@ -310,16 +353,15 @@ def test_mmap_rss_bounded(tmp_path, bench_json):
         for hydration in HYDRATIONS
     }
 
-    for name, child in children.items():
-        stats = child["stats"]
-        assert stats["prepares"] == 0, (name, stats)  # the store was warm
-        # Every round after the first re-loads evicted entries: the
-        # corpus genuinely exceeds the LRU.
-        assert stats["disk_hits"] >= RSS_GRAPHS + (RSS_GRAPHS - RSS_LRU), name
-        assert stats["solved_by"] == {"numpy": len(child["results"])}, name
-    assert children["decoded"]["stats"]["mmap_opens"] == 0
-    assert children["mapped"]["stats"]["mmap_opens"] > 0
-    assert children["mapped"]["stats"]["mapped_bytes"] > 0
+    # Every round after the first re-loads evicted entries: the corpus
+    # genuinely exceeds the LRU.
+    reloads = RSS_GRAPHS + (RSS_GRAPHS - RSS_LRU)
+    assert children["decoded"]["stats"]["loads"] >= reloads
+    stats = children["mapped"]["stats"]
+    assert stats["prepares"] == 0, stats  # the store was warm
+    assert stats["disk_hits"] >= reloads and stats["mmap_opens"] == stats["disk_hits"]
+    assert stats["solved_by"] == {"numpy": len(children["mapped"]["results"])}
+    assert stats["mapped_bytes"] > 0
     # Identical answers from both children, pattern by pattern.
     assert children["mapped"]["results"] == children["decoded"]["results"]
 

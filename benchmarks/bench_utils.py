@@ -21,12 +21,13 @@ the figure the mmap backend's bounded-memory claim is audited against.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import resource
 from pathlib import Path
 from typing import Callable
 
-__all__ = ["run_once", "make_json_writer", "peak_rss_kb"]
+__all__ = ["run_once", "make_json_writer", "peak_rss_kb", "decode_stored_index"]
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -68,3 +69,33 @@ def make_json_writer(target: str | None) -> Callable[[str, dict], Path | None]:
         return out
 
     return write
+
+
+def decode_stored_index(store_dir: str, graph, fingerprint: str):
+    """``graph``'s stored index, decoded in full into process memory.
+
+    The steps a decoding store tier takes, for benchmarks that compare
+    the store's mapped open against one: read the file, check its sha256
+    against the envelope, parse the payload, decode every row to a big
+    int, and wrap the rows in a
+    :class:`~repro.core.prepared.PreparedDataGraph`.
+    """
+    from repro.core.prepared import PreparedDataGraph, _int_rows, _parse_payload
+    from repro.core.store import _ENVELOPE_LEN, PreparedIndexStore, _parse_envelope
+
+    blob = PreparedIndexStore(store_dir).path_for(fingerprint).read_bytes()
+    length, checksum = _parse_envelope(blob)
+    payload = blob[_ENVELOPE_LEN:]
+    if len(payload) != length or hashlib.sha256(payload).digest() != checksum:
+        raise ValueError(f"stored index {fingerprint} failed its checksum")
+    header, n, width, masks = _parse_payload(payload)
+    rows = _int_rows(masks, width)
+    return PreparedDataGraph.from_rows(
+        graph,
+        rows[:n],
+        rows[n : 2 * n],
+        rows[2 * n],
+        fingerprint=fingerprint,
+        num_edges=header["num_edges"],
+        prepare_seconds=header["prepare_seconds"],
+    )

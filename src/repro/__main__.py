@@ -38,17 +38,16 @@ warm``; ``mmap`` is an alias of ``numpy``) selects the solver mask
 representation — results are bit-identical, only speed differs; the
 ``REPRO_BACKEND`` environment variable changes the default.  Output
 summaries record which backend served (``backend`` / ``solved_by``) so
-operators can audit a fleet.  The ``numpy`` backend hydrates warm-store
-indexes *zero-copy*: the store file is memory-mapped and the mask rows
-are served straight off the mapped pages (``mmap_opens`` /
-``mapped_bytes`` in the service stats), so cold starts skip the payload
-decode and resident memory tracks the working set.  ``index warm
---backend numpy`` verifies exactly that path (its report lines say
-``"hydration": "mapped"``; the ``python`` reference says
-``"decoded"``), and ``index ls --json`` carries ``payload_bytes`` /
-``mask_section_bytes`` per entry so operators can size page-cache
-budgets.  Store files are format version 3; a file in an older format
-is rebuilt on first use.
+operators can audit a fleet.  Every backend hydrates warm-store indexes
+*zero-copy*: the store file is memory-mapped and the mask rows are
+served straight off the mapped pages (``mmap_opens`` / ``mapped_bytes``
+in the service stats; the ``numpy`` backend views them as its uint64
+blocks), so cold starts skip the payload decode and resident memory
+tracks the working set.  ``index warm --backend B`` verifies exactly
+that path (its report lines say ``"hydration": "mapped"``), and
+``index ls --json`` carries ``payload_bytes`` / ``mask_section_bytes``
+per entry so operators can size page-cache budgets.  Store files are
+format version 3; a file in an older format is rebuilt on first use.
 
 ``--prefilter {auto,off,strict}`` (on ``match`` and ``batch``) engages
 the candidate-pruning pipeline (:mod:`repro.core.prefilter`): ``auto``
@@ -72,8 +71,9 @@ its cached index when a served graph mutates (``delta_hits`` /
 ``index evolve --chain`` persists the evolution as a compact *delta
 record* against the stored base instead of rewriting the full payload —
 for a small edit the write shrinks by the touched-row fraction, and
-hydration replays the chain (or serves it as copy-on-write overlay rows
-under the ``numpy`` backend).  Chains cap at
+hydration maps the base file with the chain's replayed rows laid over
+it.  An edit that adds or removes nodes is saved in full instead
+(``"action": "evolved"``).  Chains cap at
 :data:`~repro.core.store.CHAIN_DEPTH_MAX`; at the cap the store writes a
 fresh full base automatically (``"action": "compacted"``), and ``index
 compact`` forces that flatten on demand.  ``index ls --json`` carries
@@ -299,29 +299,27 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _hydration_check(
-    store: PreparedIndexStore, fingerprint: str, graph, prepared, backend
+    store: PreparedIndexStore, fingerprint: str, graph, backend
 ) -> str:
     """Hydrate the warmed index's rows the way the serving fleet would.
 
-    A mapping backend (``numpy``) re-opens the stored file *zero-copy* — which
-    both proves the file is mappable and performs (and sidecar-caches)
-    the full content verification, so the fleet's first mapped open can
-    skip whole-file hashing.  Every other backend decodes the in-memory
-    index's rows.  Returns the hydration mode for the report line.
+    Re-opens the stored file *zero-copy* under ``backend`` — which both
+    proves the file is mappable and performs (and sidecar-caches) the
+    full content verification, so the fleet's first mapped open can skip
+    whole-file hashing.  Returns the report line's hydration mode:
+    ``"mapped"``, or ``"unmapped"`` when the file could not be re-opened.
     """
-    if backend.hydrates_mapped:
-        try:
-            region = store.payload_region(fingerprint, verify="full")
-            if region is not None:
-                mapped = PreparedDataGraph.from_mapped(
-                    graph, backend.open_payload(region), fingerprint=fingerprint
-                )
-                mapped.backend_rows(backend)
-                return "mapped"
-        except (ValueError, OSError):
-            pass  # unmappable file: the decode check below still runs
-    prepared.backend_rows(backend)
-    return "decoded"
+    try:
+        region = store.payload_region(fingerprint, verify="full")
+        if region is not None:
+            mapped = PreparedDataGraph.from_mapped(
+                graph, backend.open_payload(region), fingerprint=fingerprint
+            )
+            mapped.backend_rows(backend)
+            return "mapped"
+    except (ValueError, KeyError, TypeError, OSError):
+        pass
+    return "unmapped"
 
 
 def _warm_one(
@@ -329,28 +327,26 @@ def _warm_one(
 ) -> dict:
     """Warm one graph's index into the store; returns the report line.
 
-    "exists" only counts when the stored file actually loads — a corrupt
-    or stale file must be rebuilt, not reported as warm.  ``--backend``
-    additionally hydrates the index's rows under the named backend (for
-    ``numpy``, by re-opening the stored file zero-copy), both as a
-    verification pass and so the warm's cost profile matches the serving
-    fleet's; the report line says which hydration mode ran.
+    Every warmed index is re-opened zero-copy under ``--backend``, with
+    the full content verification (see :func:`_hydration_check`), both
+    as a verification pass and so the warm's cost profile matches the
+    serving fleet's; the report line says whether that mapped open
+    succeeded.  "exists" only counts when an already stored file passes
+    it — a corrupt or stale file must be rebuilt, not reported as warm.
     """
     fingerprint = graph_fingerprint(graph)
     line = dict(line, fingerprint=fingerprint, backend=backend.name)
-    loaded = None if force else store.load(fingerprint, graph)
-    if loaded is not None:
-        line["hydration"] = _hydration_check(
-            store, fingerprint, graph, loaded, backend
-        )
-        line["action"] = "exists"
-        return line
+    if not force:
+        hydration = _hydration_check(store, fingerprint, graph, backend)
+        if hydration == "mapped":
+            line.update(hydration=hydration, action="exists")
+            return line
     prepared = PreparedDataGraph(graph, fingerprint=fingerprint)
     with Stopwatch() as watch:
         stored_at = store.save(prepared)
     line.update(
         action="stored",
-        hydration=_hydration_check(store, fingerprint, graph, prepared, backend),
+        hydration=_hydration_check(store, fingerprint, graph, backend),
         nodes=prepared.num_nodes(),
         edges=prepared.num_edges(),
         prepare_seconds=prepared.prepare_seconds,
@@ -423,9 +419,9 @@ def _cmd_index_evolve(args: argparse.Namespace) -> int:
             return 1
         line = _warm_one(store, new_graph, backend, False, line)
     else:
-        # Hydration check, as in `warm` (mapped when the backend can).
+        # Hydration check, as in `warm`.
         line["hydration"] = _hydration_check(
-            store, evolved.fingerprint, new_graph, evolved, backend
+            store, evolved.fingerprint, new_graph, backend
         )
     json.dump(line, sys.stdout)
     print()
@@ -436,8 +432,9 @@ def _cmd_index_compact(args: argparse.Namespace) -> int:
     """Flatten a stored index's delta chain into a fresh full base.
 
     Bounded chain replay is the read-path cost of ``evolve --chain``;
-    compacting resets ``chain_depth`` to 0 so hydration is one decode
-    (or one mmap) again.  A depth-0 entry is reported, not rewritten.
+    compacting resets ``chain_depth`` to 0 so hydration maps one file
+    with no records to replay.  A depth-0 entry is reported, not
+    rewritten.
     """
     store = PreparedIndexStore(args.store_dir, create=False)
     graph = load_json(args.graph)
@@ -689,9 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument(
         "--chain", action="store_true",
         help="persist the evolution as a compact delta record against the "
-        "stored base instead of a full payload rewrite (replayed on "
-        "hydration; a fresh full base is written automatically when the "
-        "chain depth hits the cap)",
+        "stored base instead of a full payload rewrite (replayed over the "
+        "mapped base on hydration; an edit that adds or removes nodes, or "
+        "a chain at the depth cap, writes a fresh full base instead)",
     )
     evolve.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,

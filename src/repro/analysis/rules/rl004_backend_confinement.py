@@ -16,9 +16,7 @@ Two halves:
    ``_FACTORIES`` table must structurally implement the full protocol —
    ``build_rows`` / ``build_context`` / ``matching_list`` /
    ``evolve_rows`` and a ``name`` — in its own MRO, not by silently
-   inheriting the abstract ``SolverBackend`` stubs; and
-   ``hydrates_mapped = True`` must pair with an ``open_payload``
-   implementation (and vice versa).
+   inheriting the abstract ``SolverBackend`` stubs.
 """
 
 from __future__ import annotations
@@ -93,20 +91,20 @@ class _RawOpVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _class_defs(cls: ast.ClassDef) -> tuple[set[str], dict[str, ast.expr]]:
-    """(method names, class-level assignments) defined directly on ``cls``."""
+def _class_defs(cls: ast.ClassDef) -> tuple[set[str], set[str]]:
+    """(method names, class-level assigned names) defined directly on ``cls``."""
     methods: set[str] = set()
-    assigns: dict[str, ast.expr] = {}
+    assigns: set[str] = set()
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.add(stmt.name)
         elif isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
-                    assigns[target.id] = stmt.value
+                    assigns.add(target.id)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             if stmt.value is not None:
-                assigns[stmt.target.id] = stmt.value
+                assigns.add(stmt.target.id)
     return methods, assigns
 
 
@@ -170,7 +168,7 @@ class BackendConfinementRule(Rule):
     ) -> Iterable[Finding]:
         cls, pf = entry
         methods: set[str] = set()
-        assigns: dict[str, ast.expr] = {}
+        assigns: set[str] = set()
         # Walk the MRO by name; the abstract protocol class contributes
         # nothing (its stubs are not implementations).
         queue = [class_name]
@@ -185,8 +183,7 @@ class BackendConfinementRule(Rule):
                 continue
             cls_methods, cls_assigns = _class_defs(node[0])
             methods.update(cls_methods)
-            for key, value in cls_assigns.items():
-                assigns.setdefault(key, value)
+            assigns.update(cls_assigns)
             for base in node[0].bases:
                 base_dotted = dotted_name(base)
                 if base_dotted is not None:
@@ -204,20 +201,4 @@ class BackendConfinementRule(Rule):
                 pf,
                 cls,
                 f"registered backend {class_name} does not define a 'name'",
-            )
-        hydrates = assigns.get("hydrates_mapped")
-        hydrates_true = (
-            isinstance(hydrates, ast.Constant) and hydrates.value is True
-        )
-        if hydrates_true and "open_payload" not in methods:
-            yield self.finding(
-                pf,
-                cls,
-                f"{class_name} sets hydrates_mapped=True without an open_payload implementation",
-            )
-        if "open_payload" in methods and not hydrates_true:
-            yield self.finding(
-                pf,
-                cls,
-                f"{class_name} implements open_payload but does not set hydrates_mapped=True",
             )

@@ -12,12 +12,12 @@ the two implementations:
 ``"numpy"`` — :class:`~repro.core.backends.mmap_block.MmapBlockBackend`
     masks as ``uint64`` block matrices with vectorized trimMatching
     row-ANDs and ``bitwise_count``/SWAR popcounts
-    (:class:`~repro.core.backends.numpy_block.BlockBackendBase`).  Store
-    hits hydrate as zero-copy views over ``mmap``-ed store files
-    (:meth:`~repro.core.store.PreparedIndexStore.payload_region`), so a
-    warm store serves first matches without decoding payloads and
-    resident memory tracks the working set.  Bit-identical results;
-    requires numpy.  ``"mmap"`` is an alias for the same backend.
+    (:class:`~repro.core.backends.numpy_block.BlockBackendBase`).  Its
+    store hits add uint64 views over the mapped store file that every
+    backend's hits open (:func:`~repro.core.store.map_payload`), so the
+    kernels read the file's pages without repacking.  Bit-identical
+    results; requires numpy.  ``"mmap"`` is an alias for the same
+    backend.
 
 Selection: pass ``backend=`` (a name or a backend instance) anywhere the
 matching stack accepts it — :func:`repro.core.api.match`,
@@ -38,7 +38,7 @@ from repro.core.backends.numpy_block import (
     NumpyMatchingList,
     numpy_available,
 )
-from repro.core.backends.mmap_block import MappedPayload, MmapBlockBackend
+from repro.core.backends.mmap_block import MmapBlockBackend
 from repro.utils.errors import InputError
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "PythonMatchingList",
     "BlockBackendBase",
     "NumpyMatchingList",
-    "MappedPayload",
     "MmapBlockBackend",
     "BACKEND_NAMES",
     "BACKEND_ENV_VAR",

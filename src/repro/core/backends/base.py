@@ -37,7 +37,9 @@ Two abstractions:
     dicts (``matching_list``).  Python big-ints remain the *currency* at
     every module boundary — workspaces, prepared payloads, and the store
     format never change — so a disk index written under one backend
-    hydrates into any other.
+    hydrates into any other.  Every backend opens a store hit mapped
+    (``open_payload``, by default
+    :func:`~repro.core.store.map_payload`).
 
 Backend selection and the registry live in
 :mod:`repro.core.backends` (``get_backend``, ``REPRO_BACKEND``).
@@ -47,6 +49,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Sequence
+
+from repro.core.store import MappedPayload, PayloadRegion, map_payload
 
 __all__ = ["MatchingList", "SolverBackend"]
 
@@ -128,11 +132,16 @@ class SolverBackend(ABC):
     #: Registry key (``"python"``, ``"numpy"``) — also what stats report.
     name: str = ""
 
-    #: True for backends whose rows can hydrate directly from a mapped
-    #: store file (:meth:`~repro.core.store.PreparedIndexStore.payload_region`)
-    #: without decoding the payload — the service's zero-copy tier keys
-    #: off this flag.
-    hydrates_mapped: bool = False
+    def open_payload(self, region: PayloadRegion) -> MappedPayload:
+        """Open a validated store region in place — every store hit does.
+
+        The default is :func:`~repro.core.store.map_payload`: the file's
+        mask rows as lazy big ints, which every backend reads.  A backend
+        overrides this only to add native row views over the same
+        mapping (``MappedPayload.rows``).  Raises :class:`ValueError` on
+        any geometry defect; callers treat it as a store miss.
+        """
+        return map_payload(region)
 
     @abstractmethod
     def build_rows(

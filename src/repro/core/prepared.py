@@ -41,8 +41,9 @@ Node = Hashable
 #: header line is zero-padded to an 8-byte boundary and the row width
 #: rounded up to whole little-endian uint64 words, so a store file whose
 #: payload starts 8-byte aligned (the store envelope guarantees this) can
-#: view the mask section in place as ``(2n+1, words)`` uint64 matrices —
-#: the numpy backend's zero-copy hydration.
+#: serve the mask section in place — lazy big-int rows for every backend
+#: (:func:`~repro.core.store.map_payload`), ``(2n+1, words)`` uint64
+#: matrices for the numpy one.
 PAYLOAD_LAYOUT = 2
 
 
@@ -123,10 +124,10 @@ class PreparedDataGraph:
     miss and a fresh preparation).
     """
 
-    #: The backend's mapped-payload object when this instance was hydrated
-    #: by :meth:`from_mapped` (``None`` on every other path).  Holding it
-    #: here keeps the underlying file mapping alive for as long as the
-    #: index serves from it.
+    #: The mapped-payload object when this instance was hydrated from the
+    #: store by :meth:`from_mapped` (``None`` on every other path).
+    #: Holding it here keeps the underlying file mapping alive for as
+    #: long as the index serves from it.
     mapped = None
 
     #: Per-node closure sketches (:class:`~repro.core.prefilter.ClosureSketches`),
@@ -264,33 +265,6 @@ class PreparedDataGraph:
         return n, width
 
     @classmethod
-    def from_payload(cls, graph2: DiGraph, payload: bytes) -> "PreparedDataGraph":
-        """Rebuild a prepared index from :meth:`to_payload` bytes.
-
-        ``graph2`` must be the very graph the payload was derived from —
-        node count, edge count, and node enumeration order are all
-        verified against the header, and any mismatch (or a malformed /
-        truncated payload) raises :class:`ValueError`.  The store layer
-        treats such failures as cache misses.
-        """
-        header, n, width, masks = _parse_payload(payload)
-        if graph2.num_nodes() != n or graph2.num_edges() != header["num_edges"]:
-            raise ValueError("payload does not describe this graph (counts differ)")
-        if [repr(node) for node in graph2.nodes()] != header["node_reprs"]:
-            raise ValueError("payload node order differs from the graph's")
-        rows = _int_rows(masks, width)
-        return cls.from_rows(
-            graph2,
-            rows[:n],
-            rows[n : 2 * n],
-            rows[2 * n],
-            fingerprint=header["fingerprint"],
-            num_edges=header["num_edges"],
-            # The *original* build cost — a loaded index never paid it again.
-            prepare_seconds=header["prepare_seconds"],
-        )
-
-    @classmethod
     def from_rows(
         cls,
         graph2: DiGraph,
@@ -303,10 +277,10 @@ class PreparedDataGraph:
     ) -> "PreparedDataGraph":
         """An index shell around already-computed closure rows.
 
-        Every hydration ends here: a decoded payload, a mapped one, and
-        the store's chain-replay loader all hold exactly the rows a cold
-        build would produce and need an index around them without
-        re-deriving anything.  The row sequences are adopted by reference
+        Every store hydration ends here (through :meth:`from_mapped`): a
+        mapped payload holds exactly the rows a cold build would produce
+        and needs an index around them without re-deriving anything.
+        The row sequences are adopted by reference
         and must already follow ``graph2``'s node enumeration order;
         counts are checked (:class:`ValueError` on mismatch), content is
         the caller's contract.
@@ -330,22 +304,23 @@ class PreparedDataGraph:
 
     @classmethod
     def from_mapped(cls, graph2: DiGraph, payload, fingerprint: str | None = None):
-        """Hydrate from a backend's *mapped* store payload — zero copy.
+        """Hydrate from a *mapped* store payload — zero copy.
 
-        ``payload`` is what an mmap-capable backend's ``open_payload``
-        returned (see :class:`~repro.core.backends.mmap_block.MappedPayload`):
-        the store file's mask section viewed in place, plus lazy big-int
-        row adapters.  Nothing is deserialised here — ``from_mask`` /
-        ``to_mask`` decode individual rows on demand, and the backend's
-        native rows alias the file pages directly.
+        ``payload`` is what a backend's ``open_payload`` returned (see
+        :class:`~repro.core.store.MappedPayload`): the store file's mask
+        section viewed in place as lazy big-int rows, plus the opening
+        backend's native rows when it adds any.  Nothing is deserialised
+        here — ``from_mask`` / ``to_mask`` decode individual rows on
+        demand, and native rows alias the file pages directly.
 
-        Unlike :meth:`from_payload`, node ``repr`` strings are **not**
-        compared: callers key mapped opens by content fingerprint (the
-        store path *is* the fingerprint, and the graph's digest covers
-        node enumeration order), so a matching ``fingerprint`` already
-        implies matching node order.  Count mismatches — the cheap
-        honest check — still raise :class:`ValueError`, as does a
-        fingerprint mismatch; the service treats both as a miss.
+        Node ``repr`` strings are **not** compared here: callers key
+        mapped opens by content fingerprint (the store path *is* the
+        fingerprint, and the graph's digest covers node enumeration
+        order), so a matching ``fingerprint`` already implies matching
+        node order; :meth:`~repro.core.store.PreparedIndexStore.load`
+        compares them as well.  Count mismatches — the cheap honest
+        check — still raise :class:`ValueError`, as does a fingerprint
+        mismatch; the service treats both as a miss.
         """
         header = payload.header
         if graph2.num_edges() != header["num_edges"]:
@@ -361,9 +336,10 @@ class PreparedDataGraph:
             num_edges=header["num_edges"],
             prepare_seconds=header["prepare_seconds"],
         )
-        # Pre-seed the opening backend's native rows: they already exist
-        # (matrix views over the mapping), so build_rows must never run.
-        self._backend_rows = {payload.backend_name: payload.rows}
+        if payload.rows is not None:
+            # Pre-seed the opening backend's native rows: they already
+            # exist (views over the mapping), so build_rows must not run.
+            self._backend_rows = {payload.backend_name: payload.rows}
         self.mapped = payload
         return self
 
@@ -416,7 +392,8 @@ class PreparedDataGraph:
         costs at most a duplicate conversion (last write wins), never a
         wrong answer — the rows are pure functions of the masks.  A
         mapped index (:meth:`from_mapped`) starts with its opening
-        backend's rows cached: the matrix views over the file.
+        backend's native rows cached when that backend made any: the
+        matrix views over the file.
         """
         rows = self._backend_rows.get(backend.name)
         if rows is None:

@@ -62,7 +62,7 @@ from repro.core.incremental import DeltaLog
 from repro.core.phom import validate_threshold
 from repro.core.prefilter import gated_candidate_rows
 from repro.core.prepared import PreparedDataGraph
-from repro.core.store import PreparedIndexStore
+from repro.core.store import PreparedIndexStore, map_payload
 from repro.core.workspace import MatchingWorkspace
 from repro.graph.digraph import DiGraph
 from repro.graph.fingerprint import graph_fingerprint
@@ -169,9 +169,8 @@ class ServiceStats:
     disk_hits: int = 0
     #: Disk-store lookups that found no usable file (two-tier cache only).
     disk_misses: int = 0
-    #: Disk hits served by *mapping* the store file in place instead of
-    #: decoding the payload (``backend="numpy"`` services only — also
-    #: counted in ``disk_hits``).
+    #: Disk hits served by *mapping* the store file in place — every
+    #: disk hit, under every backend (also counted in ``disk_hits``).
     mmap_opens: int = 0
     #: Payload bytes those mapped opens cover — what the OS may page in,
     #: not what was read; operators budget page cache against it.
@@ -299,11 +298,12 @@ class PreparedGraphCache:
     ``delta_nodes_recomputed``).
 
     ``store`` attaches a :class:`~repro.core.store.PreparedIndexStore`
-    as a second tier below the LRU: a memory miss first tries a disk
-    load (counted in ``disk_hits``/``load_seconds``), and only a double
-    miss builds — after which the fresh index is persisted best-effort
-    (``store_seconds``; persistence failures are swallowed, the serving
-    path never fails because a disk filled up).
+    as a second tier below the LRU: a memory miss first tries a mapped
+    open of the stored file (counted in ``disk_hits`` / ``mmap_opens``
+    / ``load_seconds``), and only a double miss builds — after which the
+    fresh index is persisted best-effort (``store_seconds``; persistence
+    failures are swallowed, the serving path never fails because a disk
+    filled up).
 
     Concurrency: the LRU order and counters are guarded by a lock, but
     index *builds and disk loads* happen outside it — a cold prepare of
@@ -334,9 +334,10 @@ class PreparedGraphCache:
         #: instead of full payload rewrites.  Off by default: chained
         #: files hydrate by replay, so operators opt in per deployment.
         self.chain = chain
-        #: The owning service's default backend — when it hydrates from
-        #: mapped store files (``hydrates_mapped``), disk hits become
-        #: zero-copy opens instead of payload decodes.
+        #: The owning service's default backend: store hits open through
+        #: its ``open_payload``, so the index starts with the backend's
+        #: native rows over the mapped file (``None``: plain
+        #: :func:`~repro.core.store.map_payload`).
         self.backend = backend
         self._entries: OrderedDict[str, PreparedDataGraph] = OrderedDict()
         self._building: dict[str, Future] = {}
@@ -432,17 +433,16 @@ class PreparedGraphCache:
         log: DeltaLog | None = None,
         base: PreparedDataGraph | None = None,
     ) -> PreparedDataGraph:
-        """Delta tier, mapped tier, disk tier, then build tier — off-lock.
+        """Delta tier, mapped tier, then build tier — off-lock.
 
         Tier order on a memory miss: **evolve** a still-resident base
         index through the graph's recorded delta (the cheapest path — it
         recomputes only the rows the mutations touched), then a
-        **zero-copy mapped open** of the store file (mmap-capable
-        backends only — no payload decode, counted in ``mmap_opens`` /
-        ``mapped_bytes``), then a decoding disk load (the ``python``
-        backend, and chains that appended nodes), then a cold build.
-        Evolved and built indexes are both persisted best-effort, so the
-        store always holds the graph's *current* fingerprint.
+        **zero-copy mapped open** of the store file (every backend — no
+        payload decode, counted in ``disk_hits``, ``mmap_opens`` and
+        ``mapped_bytes``), then a cold build.  Evolved and built indexes
+        are both persisted best-effort, so the store always holds the
+        graph's *current* fingerprint.
         """
         if base is not None and log is not None:
             evolved = self._evolve(key, graph2, log, base)
@@ -452,14 +452,6 @@ class PreparedGraphCache:
             mapped = self._open_mapped(key, graph2)
             if mapped is not None:
                 return mapped
-            with Stopwatch() as watch:
-                loaded = self.store.load(key, graph2)  # any defect -> None
-            if loaded is not None:
-                with self.stats.lock:
-                    self.stats.disk_hits += 1
-                    self.stats.load_seconds += watch.elapsed
-                self._track(graph2, key)
-                return loaded
             with self.stats.lock:
                 self.stats.disk_misses += 1
         prepared = PreparedDataGraph(graph2, fingerprint=key)
@@ -475,31 +467,29 @@ class PreparedGraphCache:
     ) -> PreparedDataGraph | None:
         """Zero-copy store hydration: view the file, decode nothing.
 
-        Only runs for a cache backend that ``hydrates_mapped`` (the
-        ``"numpy"`` backend): :meth:`~repro.core.store.PreparedIndexStore.payload_region`
+        :meth:`~repro.core.store.PreparedIndexStore.payload_region`
         validates the file (header-mode — the sidecar lets repeat opens
-        skip whole-file hashing), ``open_payload`` views the mask section
-        over a shared mapping, and
+        skip whole-file hashing), the cache backend's ``open_payload``
+        (plain :func:`~repro.core.store.map_payload` without one) views
+        the mask section over a shared mapping, and
         :meth:`~repro.core.prepared.PreparedDataGraph.from_mapped` wraps
         it without touching a mask byte.  Every defect — an older file
         format, geometry drift, a concurrent rewrite — returns ``None``
-        and the slower tiers take over; corruption degrades to a
+        and the build tier takes over; corruption degrades to a
         rebuild, never a crash.
         """
         backend = self.backend
-        if backend is None or not backend.hydrates_mapped:
-            return None
+        open_payload = map_payload if backend is None else backend.open_payload
         with Stopwatch() as watch:
             try:
                 region = self.store.payload_region(key)
                 if region is None:
                     return None
-                payload = backend.open_payload(region)
                 prepared = PreparedDataGraph.from_mapped(
-                    graph2, payload, fingerprint=key
+                    graph2, open_payload(region), fingerprint=key
                 )
             except (ValueError, KeyError, TypeError, OSError):
-                return None  # unmappable or stale file: decode tier is next
+                return None  # unmappable or stale file: build tier is next
         with self.stats.lock:
             self.stats.disk_hits += 1
             self.stats.mmap_opens += 1

@@ -526,13 +526,12 @@ class ShardedMatchingService:
     (``chain_writes`` / ``chain_bytes_saved`` in the aggregate snapshot)
     instead of full payload rewrites — the streaming-graph write path.
 
-    Under ``backend="numpy"`` the shared store pays off twice: each
-    worker's disk tier becomes a zero-copy mapped open, and the numpy
-    backend interns mappings process-wide by file identity, so every
-    worker (and the spill worker) serving one fingerprint shares a
-    single mapping — one OS page cache per prepared graph, no matter
-    how many shards solve over it (``mmap_opens`` / ``mapped_bytes``
-    aggregate across workers in :meth:`stats_snapshot`).
+    The shared store pays off twice: each worker's disk tier is a
+    zero-copy mapped open, and the store interns mappings process-wide
+    by file identity, so every worker (and the spill worker) serving one
+    fingerprint shares a single mapping — one OS page cache per prepared
+    graph, no matter how many shards solve over it (``mmap_opens`` /
+    ``mapped_bytes`` aggregate across workers in :meth:`stats_snapshot`).
 
     Request surface:
 

@@ -26,9 +26,10 @@ File format (version 3)::
 
 The envelope is 56 bytes, so the payload — whose mask section is itself
 8-byte aligned within the payload — lands with every mask row on an
-8-byte file offset.  That alignment is what lets the numpy backend view
-the mask section in place as uint64 matrices
-(:meth:`PreparedIndexStore.payload_region` hands it the coordinates).
+8-byte file offset.  That alignment is what lets :func:`map_payload`
+serve the mask section in place — and the numpy backend view it as
+uint64 matrices (:meth:`PreparedIndexStore.payload_region` hands both
+the coordinates).
 Only version 3 is read: a file in an older format reads as a miss, so
 the first request rebuilds the index and ``save`` rewrites the file.
 
@@ -40,28 +41,40 @@ evolved index rewrites the **entire** payload — for a 2000-node graph
 that is ~1 MiB of write amplification per single-edge delta.
 :meth:`PreparedIndexStore.save_delta` instead persists a compact *delta
 record* (``<fingerprint>.phomdlt``, magic ``RPHOMDLT``, same envelope
-shape) holding just the changed/appended rows, the new cycle row, and a
-pointer to the parent fingerprint::
+shape) holding just the changed rows, the new cycle row, and a pointer
+to the parent fingerprint::
 
     header line (JSON): fingerprint, base, depth, num_nodes, num_edges,
-                        layout, row_bytes, appended_reprs,
-                        from_positions, to_positions, prepare_seconds
+                        layout, row_bytes, from_positions,
+                        to_positions, prepare_seconds
     zero padding to an 8-byte boundary
-    changed/appended from_mask rows, then to_mask rows (new width)
+    changed from_mask rows, then to_mask rows
     cycle row
 
-``load`` replays a chain — base payload plus delta records, oldest
-first — when no base file answers a fingerprint, and
-:meth:`PreparedIndexStore.payload_region` describes a same-size chain as
-the *base* file's region plus a :class:`ChainOverlay` of replayed rows,
-so the mmap backend keeps mapping the (shared, unchanged) base pages and
-overlays the few evolved rows copy-on-write.  Chain depth is capped at
-:data:`CHAIN_DEPTH_MAX`; :meth:`PreparedIndexStore.evolve` compacts a
-capped chain into a fresh full base, and
-:meth:`PreparedIndexStore.compact` does so on demand.  ``remove`` and
-the GC policies treat a base and its delta descendants as one *group* —
-a base payload is never deleted out from under delta records that still
-replay against it, and a chain's age is its newest member's.
+Only evolutions that keep the base's node list chain; any other is
+saved in full.  :meth:`PreparedIndexStore.payload_region` describes a
+chained fingerprint as the *base* file's region plus a
+:class:`ChainOverlay` of the replayed rows, so every open maps the
+(shared, unchanged) base pages and serves the few evolved rows over
+them.  Chain depth is capped at :data:`CHAIN_DEPTH_MAX`;
+:meth:`PreparedIndexStore.evolve` compacts a capped chain into a fresh
+full base, and :meth:`PreparedIndexStore.compact` does so on demand.
+``remove`` and the GC policies treat a base and its delta descendants
+as one *group* — a base payload is never deleted out from under delta
+records that still replay against it, and a chain's age is its newest
+member's.
+
+Mapped hydration
+----------------
+:func:`map_payload` is the one way a stored index becomes rows: it maps
+the file read-only (one mapping per file identity, shared process-wide)
+and views the mask section in place.  The big-int rows every backend
+understands decode lazily, one row on first touch
+(:class:`_MappedIntRows`), so an open costs a header parse, not a
+payload decode, and resident memory tracks the rows a solve touches.
+:meth:`PreparedIndexStore.load` and the service's store tier both open
+through it; a backend adds native views over the same mapping in its
+``open_payload``.
 
 Writes are atomic (tmp file + ``os.replace``) so a concurrent reader
 never observes a half-written index, and loads are corruption-tolerant:
@@ -87,10 +100,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import mmap
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+import weakref
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.prepared import (
@@ -111,6 +127,8 @@ __all__ = [
     "StoreEntry",
     "PayloadRegion",
     "ChainOverlay",
+    "MappedPayload",
+    "map_payload",
     "STORE_SUFFIX",
     "STORE_VERSION",
     "DELTA_SUFFIX",
@@ -186,9 +204,9 @@ def _decode_delta(
     """Decode one delta-record payload, geometry-checked.
 
     ``(header, from_rows, to_rows, cycle_mask)`` where the row dicts map
-    changed/appended positions to their new masks at the record's row
-    width.  Raises :class:`ValueError` on any structural defect; the
-    store layer treats that as a broken chain (a miss).
+    changed positions to their new masks at the record's row width.
+    Raises :class:`ValueError` on any structural defect; the store layer
+    treats that as a broken chain (a miss).
     """
     header, body = _split_payload(payload)
     n, width = PreparedDataGraph.header_geometry(header)
@@ -200,13 +218,7 @@ def _decode_delta(
         raise ValueError("delta record depth is malformed")
     from_positions = header["from_positions"]
     to_positions = header["to_positions"]
-    appended = header["appended_reprs"]
-    if not (
-        isinstance(from_positions, list)
-        and isinstance(to_positions, list)
-        and isinstance(appended, list)
-        and all(isinstance(entry, str) for entry in appended)
-    ):
+    if not (isinstance(from_positions, list) and isinstance(to_positions, list)):
         raise ValueError("delta record row lists are malformed")
     for position in itertools.chain(from_positions, to_positions):
         if not (isinstance(position, int) and 0 <= position < n):
@@ -285,13 +297,14 @@ class ChainOverlay:
     """Replayed delta rows layered over a mapped base payload.
 
     Produced by :meth:`PreparedIndexStore.payload_region` for a
-    fingerprint stored as a delta chain whose every record keeps the
-    base's node count: the mmap backend maps the (unchanged, shared)
-    base file and serves ``from_rows`` / ``to_rows`` — position → new
-    mask — copy-on-write over it, exactly like an in-process
-    ``evolve_rows`` refresh.  ``fingerprint`` / ``num_edges`` /
-    ``prepare_seconds`` describe the chain *leaf* (they patch the base
-    header on open); ``depth`` is the number of records replayed.
+    fingerprint stored as a delta chain: :func:`map_payload` maps the
+    (unchanged, shared) base file and seeds its lazy rows with
+    ``from_rows`` / ``to_rows`` — position → new mask — and the numpy
+    backend layers them copy-on-write over its matrix views, exactly
+    like an in-process ``evolve_rows`` refresh.  ``fingerprint`` /
+    ``num_edges`` / ``prepare_seconds`` describe the chain *leaf* (they
+    patch the base header on open); ``depth`` is the number of records
+    replayed.
     """
 
     fingerprint: str
@@ -308,7 +321,7 @@ class PayloadRegion:
     """Where a *validated* index payload lives inside its store file.
 
     The stable coordinates :meth:`PreparedIndexStore.payload_region`
-    hands to mmap-capable backends: map ``path``, and the payload is the
+    hands to :func:`map_payload`: map ``path``, and the payload is the
     ``payload_length`` bytes starting at ``payload_offset`` (a multiple
     of 8, so the payload's mask rows are 8-byte aligned in the file).
     ``file_size`` / ``mtime_ns`` snapshot the stat identity the
@@ -335,6 +348,182 @@ class PayloadRegion:
     mtime_ns: int
     payload_sha256: bytes = b""
     overlay: ChainOverlay | None = None
+
+
+class _Mapping:
+    """One shared read-only map of a store file, identity-pinned.
+
+    ``size``/``mtime_ns`` are the stat identity the caller validated
+    (see :class:`PayloadRegion`); a file that changed between validation
+    and open is rejected rather than silently mapped.  The underlying
+    :class:`mmap.mmap` closes once the last view over it is released.
+    """
+
+    __slots__ = ("path", "size", "mtime_ns", "buffer", "__weakref__")
+
+    def __init__(self, path, size: int, mtime_ns: int) -> None:
+        with open(path, "rb") as handle:
+            buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        if buffer.size() != size:
+            buffer.close()
+            raise ValueError("store file changed size since validation")
+        self.path = path
+        self.size = size
+        self.mtime_ns = mtime_ns
+        self.buffer = buffer
+
+
+#: Interned mappings, keyed ``(str(path), size, mtime_ns, payload
+#: sha256)``.  Weak values: a mapping lives exactly as long as some
+#: hydrated index references it.  The checksum (verified by
+#: ``payload_region``) is part of the identity on purpose: stat identity
+#: alone collides when a file is rewritten to the same byte length
+#: within the filesystem's mtime granularity — ``index compact``
+#: flattening a chain, a re-warm — and a stale mapping would keep
+#: serving the old pages.
+_mappings: "weakref.WeakValueDictionary[tuple, _Mapping]" = (
+    weakref.WeakValueDictionary()
+)
+_mappings_lock = threading.Lock()
+
+
+def _shared_mapping(region: PayloadRegion) -> _Mapping:
+    """The process-wide mapping for ``region``'s exact file identity."""
+    key = (
+        str(region.path), region.file_size, region.mtime_ns, region.payload_sha256
+    )
+    with _mappings_lock:
+        mapping = _mappings.get(key)
+        if mapping is None:
+            mapping = _Mapping(region.path, region.file_size, region.mtime_ns)
+            _mappings[key] = mapping
+        return mapping
+
+
+class _MappedIntRows(Sequence):
+    """Lazy big-int rows over ``width``-byte little-endian rows of a map.
+
+    ``view`` is a memoryview slice of the mapped mask section.  Row
+    ``i`` decodes with ``int.from_bytes`` on first access and is
+    memoized — the backend-neutral mask currency without an upfront
+    decode of rows nobody asks for.  ``seed`` (position → mask)
+    pre-fills rows that differ from the mapped bytes: a chain overlay's
+    replayed rows.  Equality is element-wise against any sequence.
+    """
+
+    __slots__ = ("_view", "_width", "_cache")
+
+    def __init__(self, view, width: int, seed=None) -> None:
+        self._view = view
+        self._width = width
+        self._cache: list[int | None] = [None] * (len(view) // width)
+        for position, mask in (seed or {}).items():
+            self._cache[position] = mask
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._cache)))]
+        value = self._cache[index]
+        if value is None:
+            if index < 0:
+                index += len(self._cache)
+            start = index * self._width
+            value = int.from_bytes(self._view[start : start + self._width], "little")
+            self._cache[index] = value
+        return value
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, _MappedIntRows)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # mutable cache; never used as a dict key
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<_MappedIntRows n={len(self._cache)}>"
+
+
+@dataclass(frozen=True, eq=False)
+class MappedPayload:
+    """A stored index opened in place by :func:`map_payload`.
+
+    :meth:`~repro.core.prepared.PreparedDataGraph.from_mapped` consumes
+    it to build an index whose big-int masks decode lazily off the
+    mapped pages.  A backend's ``open_payload`` may add ``rows``, its
+    native rows over the same mapping, which the index then starts with.
+    """
+
+    #: Decoded JSON payload header, patched to a chain leaf's identity.
+    header: dict
+    #: Lazy big-int ``from_mask`` rows.
+    from_ints: _MappedIntRows
+    #: Lazy big-int ``to_mask`` rows.
+    to_ints: _MappedIntRows
+    #: The cycle mask, eagerly decoded (one row; every prepare reads it).
+    cycle_mask: int
+    #: The mask section, ``2n+1`` rows viewed in place.
+    masks: memoryview = field(repr=False)
+    #: The shared :class:`_Mapping` the views read (pins it).
+    mapping: _Mapping = field(repr=False)
+    #: The validated :class:`PayloadRegion` opened.
+    region: PayloadRegion = field(repr=False)
+    #: Name of the backend whose ``rows`` are pre-seeded, if any.
+    backend_name: str | None = None
+    #: That backend's native rows over the mapping.
+    rows: object = field(repr=False, default=None)
+
+    @property
+    def mask_section_bytes(self) -> int:
+        """Bytes of the mask section the views cover (page-cache budgeting)."""
+        return len(self.masks)
+
+
+def map_payload(region: PayloadRegion) -> MappedPayload:
+    """Open a validated store region in place, decoding no row up front.
+
+    The file is mapped read-only through the process-wide interned
+    mapping, the header line and the cycle row are parsed, and the mask
+    section becomes lazy big-int rows.  A region carrying a
+    :class:`ChainOverlay` seeds those rows with the replayed ones and
+    patches the header to the chain leaf.  Any geometry defect — a stale
+    payload, an overlay row outside the base's node count — raises
+    :class:`ValueError`; callers treat it as a store miss.
+    """
+    mapping = _shared_mapping(region)
+    start = region.payload_offset
+    header, n, width, masks = _parse_payload(
+        mapping.buffer, start, start + region.payload_length
+    )
+    split = n * width
+    from_seed = to_seed = None
+    cycle_mask = int.from_bytes(masks[2 * split :], "little")
+    overlay = region.overlay
+    if overlay is not None:
+        for position in itertools.chain(overlay.from_rows, overlay.to_rows):
+            if not (isinstance(position, int) and 0 <= position < n):
+                raise ValueError("chain overlay row position out of range")
+        from_seed, to_seed = overlay.from_rows, overlay.to_rows
+        cycle_mask = overlay.cycle_mask
+        header = {
+            **header,
+            "fingerprint": overlay.fingerprint,
+            "num_edges": overlay.num_edges,
+            "prepare_seconds": overlay.prepare_seconds,
+        }
+    return MappedPayload(
+        header=header,
+        from_ints=_MappedIntRows(masks[:split], width, from_seed),
+        to_ints=_MappedIntRows(masks[split : 2 * split], width, to_seed),
+        cycle_mask=cycle_mask,
+        masks=masks,
+        mapping=mapping,
+        region=region,
+    )
 
 
 class PreparedIndexStore:
@@ -487,38 +676,35 @@ class PreparedIndexStore:
         """Persist ``evolved`` as a delta record against stored ``base``.
 
         Writes ``<evolved.fingerprint>.phomdlt`` holding only the rows
-        that differ from ``base`` (plus appended rows and the cycle row)
-        and a parent pointer, instead of the full payload a ``save()``
-        would rewrite.  Returns ``(path, info)`` with the write
-        accounting (``delta_bytes``, the estimated ``full_bytes`` a full
-        save would have cost, ``bytes_saved``, chain ``depth``), or
-        ``None`` when the pair is not chainable: ``base`` has nothing
-        stored under its fingerprint, the chain would exceed
-        :data:`CHAIN_DEPTH_MAX` (the caller compacts with a full
-        ``save()`` instead), or ``evolved`` reordered the surviving
-        nodes (bit positions moved — only append-only evolutions chain).
+        that differ from ``base`` (plus the cycle row) and a parent
+        pointer, instead of the full payload a ``save()`` would rewrite.
+        Returns ``(path, info)`` with the write accounting
+        (``delta_bytes``, the estimated ``full_bytes`` a full save would
+        have cost, ``bytes_saved``, chain ``depth``), or ``None`` when
+        the pair is not chainable: ``base`` has nothing stored under its
+        fingerprint, the chain would exceed :data:`CHAIN_DEPTH_MAX` (the
+        caller compacts with a full ``save()`` instead), or ``evolved``'s
+        node list differs from ``base``'s (a node was added, removed or
+        moved — the caller saves such an evolution in full, so every
+        chain maps over its base file).
         """
-        old_n = len(base.nodes2)
-        n = len(evolved.nodes2)
-        if n < old_n or list(evolved.nodes2[:old_n]) != list(base.nodes2):
+        if evolved.nodes2 != base.nodes2:
             return None
         parent_depth = self.chain_depth(base.fingerprint)
         if parent_depth is None or parent_depth >= CHAIN_DEPTH_MAX:
             return None
+        n = len(evolved.nodes2)
         width = _aligned_row_bytes(n)
         from_positions = []
         to_positions = []
-        for i in range(old_n):
+        for i in range(n):
             row = evolved.from_mask[i]
             if row is not base.from_mask[i] and row != base.from_mask[i]:
                 from_positions.append(i)
-        for i in range(old_n):
+        for i in range(n):
             row = evolved.to_mask[i]
             if row is not base.to_mask[i] and row != base.to_mask[i]:
                 to_positions.append(i)
-        appended = list(range(old_n, n))
-        from_positions.extend(appended)
-        to_positions.extend(appended)
         header = {
             "fingerprint": evolved.fingerprint,
             "base": base.fingerprint,
@@ -527,7 +713,6 @@ class PreparedIndexStore:
             "num_edges": evolved.num_edges(),
             "layout": PAYLOAD_LAYOUT,
             "row_bytes": width,
-            "appended_reprs": [repr(node) for node in evolved.nodes2[old_n:]],
             "from_positions": from_positions,
             "to_positions": to_positions,
             "prepare_seconds": evolved.prepare_seconds,
@@ -558,94 +743,41 @@ class PreparedIndexStore:
     def load(
         self, fingerprint: str, graph2: DiGraph, verify: str = "full"
     ) -> PreparedDataGraph | None:
-        """The stored index for ``fingerprint``, restored onto ``graph2``.
+        """The stored index for ``fingerprint``, mapped onto ``graph2``.
 
+        :meth:`payload_region` plus :func:`map_payload` plus
+        :meth:`~repro.core.prepared.PreparedDataGraph.from_mapped` — the
+        same open the service's store tier runs, so the result's rows
+        decode lazily off the mapped file.  A delta-chained fingerprint
+        opens as its base file with the replayed rows laid over it.
         Returns ``None`` on any miss: no file, unreadable, wrong
-        magic/version, checksum mismatch, malformed or stale payload.
-        ``graph2`` must be the graph that fingerprints to ``fingerprint``
-        (the caller computed the digest from it); the payload's own node
-        order and counts are verified against it as well.  A fingerprint
-        stored as a delta record hydrates by *chain replay*: the base
-        payload's rows with every record's changed rows spliced in,
-        oldest first — any defect anywhere in the chain (truncated or
-        missing record, checksum mismatch, inconsistent geometry) is a
-        miss for the whole fingerprint, never an exception.
+        magic/version, checksum mismatch, malformed or stale payload,
+        any defect anywhere in a chain.  ``graph2`` must be the graph
+        that fingerprints to ``fingerprint`` (the caller computed the
+        digest from it); the payload's own node order and counts are
+        verified against it as well.
 
-        ``verify="header"`` skips the whole-payload checksum when the
-        file's sidecar records a full verification of these exact bytes
-        (stat identity); without one, the read silently upgrades to a
-        full verification and leaves the sidecar behind.  Corruption in
-        either mode is a miss — the caller rebuilds, never crashes.
+        ``verify="full"`` (the default) hashes every file it opens;
+        ``verify="header"`` trusts a sidecar that records a full
+        verification of these exact bytes (stat identity), and without
+        one silently upgrades to a full verification that leaves the
+        sidecar behind.  Corruption in either mode is a miss — the
+        caller rebuilds, never crashes.
         """
         if verify not in ("full", "header"):
             raise InputError(f"verify must be 'full' or 'header', got {verify!r}")
-        if not is_fingerprint(fingerprint):
-            return None
-        payload = self._read_payload(self.path_for(fingerprint), verify=verify)
-        if payload is None:
-            return self._load_chained(fingerprint, graph2, verify)
         try:
-            prepared = PreparedDataGraph.from_payload(graph2, payload)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            return None
-        if prepared.fingerprint != fingerprint:
-            return None  # file content answers a different graph
-        return prepared
-
-    def _load_chained(
-        self, fingerprint: str, graph2: DiGraph, verify: str
-    ) -> PreparedDataGraph | None:
-        """Hydrate a delta-chained fingerprint by replay; ``None`` on any
-        defect anywhere in the chain (the caller rebuilds cold)."""
-        chain = self._chain_records(fingerprint, verify=verify)
-        if chain is None:
-            return None
-        base_fingerprint, records = chain
-        payload = self._read_payload(self.path_for(base_fingerprint), verify=verify)
-        if payload is None:
-            return None
-        try:
-            base_header, n, width, masks = _parse_payload(payload)
-        except (ValueError, KeyError, TypeError):
-            return None
-        node_reprs = base_header.get("node_reprs")
-        if base_header.get("fingerprint") != base_fingerprint or not (
-            isinstance(node_reprs, list) and len(node_reprs) == n
-        ):
-            return None
-        node_reprs = list(node_reprs)
-        rows = _int_rows(masks, width)
-        from_rows, to_rows, cycle_mask = rows[:n], rows[n : 2 * n], rows[2 * n]
-        for header, delta_from, delta_to, delta_cycle in reversed(records):
-            record_n = header["num_nodes"]
-            appended = header["appended_reprs"]
-            if record_n < n or len(appended) != record_n - n:
-                return None  # chain grew inconsistently: broken
-            from_rows.extend([0] * (record_n - n))
-            to_rows.extend([0] * (record_n - n))
-            node_reprs.extend(appended)
-            n = record_n
-            for position, mask in delta_from.items():
-                from_rows[position] = mask
-            for position, mask in delta_to.items():
-                to_rows[position] = mask
-            cycle_mask = delta_cycle
-        leaf = records[0][0]
-        if graph2.num_nodes() != n or graph2.num_edges() != leaf["num_edges"]:
-            return None
-        if [repr(node) for node in graph2.nodes()] != node_reprs:
-            return None
-        try:
-            return PreparedDataGraph.from_rows(
-                graph2,
-                from_rows,
-                to_rows,
-                cycle_mask,
-                fingerprint=fingerprint,
-                num_edges=leaf["num_edges"],
-                prepare_seconds=leaf["prepare_seconds"],
+            region = self.payload_region(fingerprint, verify=verify)
+            if region is None:
+                return None
+            payload = map_payload(region)
+            node_reprs = [repr(node) for node in graph2.nodes()]
+            if node_reprs != payload.header["node_reprs"]:
+                return None  # the payload describes another node order
+            return PreparedDataGraph.from_mapped(
+                graph2, payload, fingerprint=fingerprint
             )
-        except (ValueError, TypeError):
+        except (ValueError, KeyError, TypeError, OSError):
             return None
 
     def _chain_records(
@@ -703,8 +835,9 @@ class PreparedIndexStore:
         (``info["action"] == "chained"``) instead of a full payload
         rewrite — unless the chain hit :data:`CHAIN_DEPTH_MAX`, in which
         case a fresh full base is written and the depth resets
-        (``"compacted"``).  Returns ``(prepared, info)``; ``prepared``
-        is ``None`` only when no usable base file exists
+        (``"compacted"``), or the edit changed the node list, which is
+        saved in full (``"evolved"``).  Returns ``(prepared, info)``;
+        ``prepared`` is ``None`` only when no usable base file exists
         (``info["action"] == "missing-base"`` — the caller decides
         whether to warm cold instead).
         """
@@ -761,13 +894,14 @@ class PreparedIndexStore:
     def compact(self, fingerprint: str, graph2: DiGraph) -> dict:
         """Flatten ``fingerprint``'s delta chain into a fresh full base.
 
-        Chain-replays the stored index, writes it back as a full payload
-        (depth resets to 0), and deletes the fingerprint's own delta
-        record — ancestor records stay, still serving *their*
-        fingerprints, grouped with the old base for GC.  Returns an info
-        dict; ``action`` is ``"compacted"``, ``"already-base"`` (depth
-        was 0), ``"missing"`` (nothing stored), or ``"unreadable"`` (a
-        broken chain — the caller warms cold instead).
+        Opens the chained index (base plus replayed rows), writes it
+        back as a full payload (depth resets to 0), and deletes the
+        fingerprint's own delta record — ancestor records stay, still
+        serving *their* fingerprints, grouped with the old base for GC.
+        Returns an info dict; ``action`` is ``"compacted"``,
+        ``"already-base"`` (depth was 0), ``"missing"`` (nothing
+        stored), or ``"unreadable"`` (a broken chain — the caller warms
+        cold instead).
         """
         depth = self.chain_depth(fingerprint)
         info: dict = {"fingerprint": fingerprint, "depth_before": depth or 0}
@@ -1010,7 +1144,7 @@ class PreparedIndexStore:
     def payload_region(
         self, fingerprint: str, verify: str = "header"
     ) -> PayloadRegion | None:
-        """Validated payload coordinates for an mmap open; ``None`` on miss.
+        """Validated coordinates for :func:`map_payload`; ``None`` on miss.
 
         Reads the 56-byte envelope and the file's stat — not the payload
         — unless the sidecar is missing or stale, in which case the one
@@ -1019,13 +1153,10 @@ class PreparedIndexStore:
         payload size.  ``verify="full"`` forces the checksum.  Any defect
         — an older format version included — returns ``None``.
 
-        A fingerprint stored as a delta chain whose records all keep the
-        base's node count returns the **base** file's region with a
-        :class:`ChainOverlay` of replayed rows attached — the mmap
-        backend maps the shared base pages and overlays the evolved rows
-        copy-on-write.  A chain that appended nodes is not
-        overlay-mappable and returns ``None`` (the decode path replays
-        it instead).
+        A fingerprint stored as a delta chain returns the **base**
+        file's region with a :class:`ChainOverlay` of replayed rows
+        attached — the open maps the shared base pages and lays the
+        evolved rows over them.
         """
         if verify not in ("full", "header"):
             raise InputError(f"verify must be 'full' or 'header', got {verify!r}")
@@ -1072,8 +1203,7 @@ class PreparedIndexStore:
         self, fingerprint: str, verify: str
     ) -> PayloadRegion | None:
         """The base file's region plus a :class:`ChainOverlay` of this
-        fingerprint's replayed rows; ``None`` on any chain defect or a
-        chain that appended nodes (not overlay-mappable)."""
+        fingerprint's replayed rows; ``None`` on any chain defect."""
         chain = self._chain_records(fingerprint, verify=verify)
         if chain is None:
             return None
@@ -1085,8 +1215,8 @@ class PreparedIndexStore:
             to_rows: dict[int, int] = {}
             cycle_mask = 0
             for header, delta_from, delta_to, delta_cycle in reversed(records):
-                if header["num_nodes"] != num_nodes or header["appended_reprs"]:
-                    return None  # grown chain: decode-path replay only
+                if header["num_nodes"] != num_nodes:
+                    return None  # records disagree on the geometry: broken
                 from_rows.update(delta_from)
                 to_rows.update(delta_to)
                 cycle_mask = delta_cycle

@@ -36,7 +36,6 @@ class GoodBackend(BlockBase):
 
 class MappedBackend(BlockBase):
     name = "mapped"
-    hydrates_mapped = True
 
     def open_payload(self, region):
         return region

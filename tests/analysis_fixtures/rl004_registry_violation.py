@@ -25,26 +25,6 @@ class IncompleteBackend(SolverBackend):
     # matching_list and evolve_rows are silently inherited stubs.
 
 
-class SecretlyMappedBackend(SolverBackend):
-    name = "secret"
-
-    def build_rows(self, payload):
-        return payload
-
-    def build_context(self, workspace):
-        return workspace
-
-    def matching_list(self, top_good, context):
-        return top_good
-
-    def evolve_rows(self, rows, delta):
-        return rows
-
-    def open_payload(self, region):  # mapped hydration without the flag
-        return region
-
-
 _FACTORIES = {
     "incomplete": IncompleteBackend,
-    "secret": SecretlyMappedBackend,
 }

@@ -75,7 +75,6 @@ class TestRuleFixtures:
         messages = " ".join(f.message for f in findings)
         assert "IncompleteBackend does not implement" in messages
         assert "matching_list" in messages
-        assert "hydrates_mapped" in messages
         assert run_fixture("rl004_clean.py", "RL004") == []
 
     def test_findings_carry_location_and_hint(self):

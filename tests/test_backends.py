@@ -27,9 +27,10 @@ from repro.core.backends import (
 from repro.core.bounded import comp_max_card_bounded
 from repro.core.engine import comp_max_card_engine, greedy_match
 from repro.core.optimize import comp_max_card_compressed, comp_max_card_partitioned
-from repro.core.prepared import PreparedDataGraph, prepare_data_graph
+from repro.core.prepared import prepare_data_graph
 from repro.core.service import MatchingService, MatchSession
 from repro.core.sharding import ShardedMatchingService
+from repro.core.store import PreparedIndexStore
 from repro.core.workspace import MatchingWorkspace
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph
@@ -83,7 +84,7 @@ class TestRegistry:
     def test_numpy_backend_constructs(self):
         backend = get_backend("numpy")
         assert isinstance(backend, MmapBlockBackend)
-        assert backend.name == "numpy" and backend.hydrates_mapped
+        assert backend.name == "numpy"
 
     @needs_numpy
     def test_mmap_is_the_numpy_backend(self, monkeypatch):
@@ -92,14 +93,17 @@ class TestRegistry:
         assert get_backend() is get_backend("numpy")
 
     @needs_numpy
-    def test_numpy_service_maps_store_hits(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_numpy_service_maps_store_hits(self, tmp_path, backend):
+        """Every backend's store hit is a mapped open."""
         data = random_digraph(40, 120, random.Random(3), name="stored")
         MatchingService(store_dir=str(tmp_path), backend="python").prepared_for(data)
-        service = MatchingService(store_dir=str(tmp_path), backend="numpy")
-        service.prepared_for(data)
+        service = MatchingService(store_dir=str(tmp_path), backend=backend)
+        prepared = service.prepared_for(data)
         snapshot = service.stats.snapshot()
         assert snapshot["mmap_opens"] == 1
         assert snapshot["disk_hits"] == 1 and snapshot["prepares"] == 0
+        assert prepared.mapped is not None
 
     @needs_numpy
     def test_numpy_and_mmap_shard_workers_both_map(self, tmp_path):
@@ -349,12 +353,14 @@ class TestDegenerateEquivalence:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestPayloadNeutrality:
-    def test_payload_round_trips_into_both_backends(self):
+    def test_payload_round_trips_into_both_backends(self, tmp_path):
         rng = random.Random(21)
         data = random_digraph(90, 270, rng, name="stored")
         prepared = prepare_data_graph(data)
         payload = prepared.to_payload()
-        restored = PreparedDataGraph.from_payload(data, payload)
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepared)
+        restored = store.load(prepared.fingerprint, data)
 
         python_rows = restored.backend_rows(get_backend("python"))
         assert python_rows[0] is restored.from_mask  # shared by reference
@@ -378,10 +384,12 @@ class TestPayloadNeutrality:
         backend = get_backend("numpy")
         assert prepared.backend_rows(backend) is prepared.backend_rows(backend)
 
-    def test_solves_identical_through_restored_payload(self):
+    def test_solves_identical_through_restored_payload(self, tmp_path):
         graph1, graph2, mat = make_random_instance(4, n1=6, n2=12)
         prepared = prepare_data_graph(graph2)
-        restored = PreparedDataGraph.from_payload(graph2, prepared.to_payload())
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepared)
+        restored = store.load(prepared.fingerprint, graph2)
         baseline = match_prepared(graph1, prepared, mat, 0.4, backend="python")
         for backend in available_backends():
             report = match_prepared(graph1, restored, mat, 0.4, backend=backend)

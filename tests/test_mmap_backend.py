@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.api import match_prepared
 from repro.core.backends import available_backends, get_backend
-from repro.core.backends.mmap_block import _CowMatrix, _MappedIntRows
+from repro.core.backends.mmap_block import _CowMatrix
 from repro.core.incremental import DeltaLog
 from repro.core.prepared import PAYLOAD_LAYOUT, PreparedDataGraph, prepare_data_graph
 from repro.core.service import MatchingService
@@ -30,6 +30,7 @@ from repro.core.store import (
     SIDECAR_SUFFIX,
     STORE_VERSION,
     PreparedIndexStore,
+    _MappedIntRows,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.fingerprint import graph_fingerprint
@@ -493,13 +494,13 @@ class TestServiceIntegration:
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["action"] == "exists"
         assert line["hydration"] == "mapped"
-        # The decoding reference backend reports the decode path.
+        # The reference backend maps its store hits too.
         assert main(
             ["index", "warm", str(store_dir), str(gpath), "--backend", "python"]
         ) == 0
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["action"] == "exists"
-        assert line["hydration"] == "decoded"
+        assert line["hydration"] == "mapped"
 
     def test_lazy_int_adapter_contract(self, tmp_path):
         graph = build_graph(seed=37, nodes=70)

@@ -8,7 +8,7 @@ service counters prove real work was skipped (``pairs_pruned``,
 ``shards_skipped``).  A seeded fuzz sweep (200+ comparisons per backend
 leg: seeds × pick rules × label topologies × flat/sharded) pins exactly
 that; unit tests cover the sketch algebra, sketches derived (never
-stored) on every hydration path (decode, mmap, chain overlay,
+stored) on every hydration path (mapped store hit, chain overlay,
 evolution), the strict tier's validity guarantee, rendezvous-hashed
 corpus routing, and the workspace's candidate-row validation.
 """
@@ -194,11 +194,13 @@ def strict_answers(service, graph, patterns, sim, xi):
 
 
 class TestSketchPersistence:
-    def test_payload_round_trip(self):
+    def test_payload_round_trip(self, tmp_path):
         _, graph2 = labeled_instance(11)
         prepared = PreparedDataGraph(graph2)
-        restored = PreparedDataGraph.from_payload(graph2, prepared.to_payload())
-        assert restored._sketches is None  # derived on first use, not decoded
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepared)
+        restored = store.load(prepared.fingerprint, graph2)
+        assert restored._sketches is None  # derived on first use, not stored
         assert restored.sketches == PreparedDataGraph(graph2).sketches
 
     def test_store_round_trip_and_mmap_views(self, tmp_path):
@@ -247,9 +249,10 @@ class TestSketchPersistence:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_strict_answers_do_not_depend_on_hydration(self, tmp_path, seed):
-        """Decoded, mapped, overlay-mapped and evolved indexes answer
-        ``strict`` exactly as a cold one: sketches depend only on the
-        closure rows and labels every hydration path reproduces."""
+        """Mapped (under either backend), overlay-mapped and evolved
+        indexes answer ``strict`` exactly as a cold one: sketches depend
+        only on the closure rows and labels every hydration path
+        reproduces."""
         scenario = Scenario(seed=seed)
         sim, xi, patterns = scenario.similarity, scenario.xi, scenario.patterns
         base = scenario.corpus.copy()

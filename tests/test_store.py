@@ -17,7 +17,7 @@ import pytest
 from helpers import make_random_instance
 from repro.__main__ import main
 from repro.core.api import match, match_prepared
-from repro.core.prepared import PreparedDataGraph, prepare_data_graph
+from repro.core.prepared import PreparedDataGraph, _parse_payload, prepare_data_graph
 from repro.core.service import MatchingService, reset_default_service
 from repro.core.store import STORE_SUFFIX, PreparedIndexStore
 from repro.graph.digraph import DiGraph
@@ -50,28 +50,37 @@ def identical_masks(a: PreparedDataGraph, b: PreparedDataGraph) -> bool:
 # Payload round-trip
 # ----------------------------------------------------------------------
 class TestPayload:
-    def test_round_trip_bit_identity(self, instance):
-        _, g2, _, _ = instance
+    """A payload round-trips through the store's one open path: ``save``
+    then ``load``, which maps the file."""
+
+    def test_round_trip_bit_identity(self, tmp_path, instance):
+        _, g2, _, fingerprint = instance
         prepared = prepare_data_graph(g2)
-        restored = PreparedDataGraph.from_payload(g2, prepared.to_payload())
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepared)
+        restored = store.load(fingerprint, g2)
         assert identical_masks(prepared, restored)
         assert restored.fingerprint == prepared.fingerprint
         assert restored.prepare_seconds == prepared.prepare_seconds
 
-    def test_round_trip_identical_match_reports(self, instance):
-        g1, g2, mat, _ = instance
+    def test_round_trip_identical_match_reports(self, tmp_path, instance):
+        g1, g2, mat, fingerprint = instance
         prepared = prepare_data_graph(g2)
-        restored = PreparedDataGraph.from_payload(g2, prepared.to_payload())
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepared)
+        restored = store.load(fingerprint, g2)
         cold = match_prepared(g1, prepared, mat, 0.4)
         warm = match_prepared(g1, restored, mat, 0.4)
         assert cold.matched == warm.matched
         assert cold.quality == warm.quality
         assert cold.result.mapping == warm.result.mapping
 
-    def test_empty_graph_round_trips(self):
+    def test_empty_graph_round_trips(self, tmp_path):
         empty = DiGraph(name="empty")
         prepared = prepare_data_graph(empty)
-        restored = PreparedDataGraph.from_payload(empty, prepared.to_payload())
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepared)
+        restored = store.load(prepared.fingerprint, empty)
         assert identical_masks(prepared, restored)
 
     def test_header_is_inspectable(self, instance):
@@ -82,28 +91,28 @@ class TestPayload:
         assert header["num_nodes"] == g2.num_nodes()
         assert header["node_reprs"] == [repr(node) for node in g2.nodes()]
 
-    def test_wrong_graph_rejected(self, instance):
-        _, g2, _, _ = instance
-        payload = prepare_data_graph(g2).to_payload()
+    def test_wrong_graph_rejected(self, tmp_path, instance):
+        _, g2, _, fingerprint = instance
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepare_data_graph(g2))
         other = DiGraph.from_edges([("p", "q")])
-        with pytest.raises(ValueError):
-            PreparedDataGraph.from_payload(other, payload)
+        assert store.load(fingerprint, other) is None
 
-    def test_reordered_nodes_rejected(self, instance):
-        _, g2, _, _ = instance
-        payload = prepare_data_graph(g2).to_payload()
+    def test_reordered_nodes_rejected(self, tmp_path, instance):
+        _, g2, _, fingerprint = instance
+        store = PreparedIndexStore(tmp_path)
+        store.save(prepare_data_graph(g2))
         reordered = DiGraph(name=g2.name)
         for node in reversed(list(g2.nodes())):
             reordered.add_node(node, label=g2.label(node), weight=g2.weight(node))
         reordered.add_edges(g2.edges())
-        with pytest.raises(ValueError):
-            PreparedDataGraph.from_payload(reordered, payload)
+        assert store.load(fingerprint, reordered) is None
 
     def test_truncated_masks_rejected(self, instance):
         _, g2, _, _ = instance
         payload = prepare_data_graph(g2).to_payload()
         with pytest.raises(ValueError):
-            PreparedDataGraph.from_payload(g2, payload[:-3])
+            _parse_payload(payload[:-3])
 
 
 # ----------------------------------------------------------------------

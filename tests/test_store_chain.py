@@ -5,8 +5,11 @@ compact ``RPHOMDLT`` record against its stored base instead of a full
 payload rewrite.  These tests pin down the contracts the serving fleet
 relies on:
 
-* a chained entry hydrates **bit-identically** to a cold prepare —
-  through the decode replay and through the mmap overlay path;
+* a chained entry hydrates **bit-identically** to a cold prepare — as
+  its mapped base file with the replayed rows laid over it;
+* only evolutions that keep the base's node list chain: one that adds
+  nodes is saved in full, and a record from the format that also
+  chained node growth reads as a miss and is rebuilt;
 * chain depth is bounded: ``save_delta`` refuses at
   :data:`~repro.core.store.CHAIN_DEPTH_MAX` and ``evolve(chain=True)``
   responds with an automatic full-base compaction;
@@ -20,6 +23,8 @@ relies on:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import time
@@ -27,6 +32,7 @@ import time
 import pytest
 
 from repro.core.prepared import PreparedDataGraph
+from repro.core.service import MatchingService
 from repro.core.store import (
     CHAIN_DEPTH_MAX,
     PreparedIndexStore,
@@ -83,6 +89,50 @@ def assert_bit_identical(loaded, cold):
     assert loaded.to_mask == cold.to_mask
     assert loaded.cycle_mask == cold.cycle_mask
     assert loaded.fingerprint == cold.fingerprint
+
+
+def grown_record(base, evolved) -> bytes:
+    """``evolved`` as a delta record against ``base`` in the format that
+    also chained node growth: the header names the appended nodes, and
+    their rows follow the changed ones."""
+    old_n, n = len(base.nodes2), len(evolved.nodes2)
+    width = 8 * max(1, (n + 63) // 64)
+    appended = list(range(old_n, n))
+    from_positions = [
+        i for i in range(old_n) if evolved.from_mask[i] != base.from_mask[i]
+    ] + appended
+    to_positions = [
+        i for i in range(old_n) if evolved.to_mask[i] != base.to_mask[i]
+    ] + appended
+    header = {
+        "fingerprint": evolved.fingerprint,
+        "base": base.fingerprint,
+        "depth": 1,
+        "num_nodes": n,
+        "num_edges": evolved.num_edges(),
+        "layout": 2,
+        "row_bytes": width,
+        "appended_reprs": [repr(node) for node in evolved.nodes2[old_n:]],
+        "from_positions": from_positions,
+        "to_positions": to_positions,
+        "prepare_seconds": evolved.prepare_seconds,
+    }
+    head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    parts = [head, b"\x00" * (-len(head) % 8)]
+    parts.extend(evolved.from_mask[p].to_bytes(width, "little") for p in from_positions)
+    parts.extend(evolved.to_mask[p].to_bytes(width, "little") for p in to_positions)
+    parts.append(evolved.cycle_mask.to_bytes(width, "little"))
+    payload = b"".join(parts)
+    return b"".join(
+        (
+            b"RPHOMDLT",
+            (3).to_bytes(4, "little"),
+            b"\x00\x00\x00\x00",
+            len(payload).to_bytes(8, "little"),
+            hashlib.sha256(payload).digest(),
+            payload,
+        )
+    )
 
 
 class TestChainPersistence:
@@ -189,23 +239,50 @@ class TestChainMappedOverlay:
         assert mapped.cycle_mask == cold.cycle_mask
         assert mapped.fingerprint == leaf == cold.fingerprint
 
-    def test_appended_nodes_fall_back_to_decode(self, tmp_path):
-        """A chain whose replay appends nodes cannot be served as a
-        constant-geometry overlay: the region degrades to None and the
-        decode path (which handles growth) takes over."""
+    def test_appended_nodes_are_saved_in_full(self, tmp_path):
+        """An evolution that adds nodes does not chain: ``evolve`` saves
+        it as a full file, which maps like any other."""
         store = PreparedIndexStore(tmp_path / "idx")
         graph = stream_graph(85)
-        base = PreparedDataGraph(graph)
-        store.save(base)
+        store.save(PreparedDataGraph(graph))
         graph.add_node(900, label="fresh")
         graph.add_edge(0, 900)
         evolved, info = store.evolve(
             stream_graph(85), graph, cutoff=1.0, chain=True
         )
-        assert info["action"] == "chained"
-        assert store.payload_region(evolved.fingerprint) is None
-        loaded = store.load(evolved.fingerprint, graph)
+        assert info["action"] == "evolved"
+        fingerprint = evolved.fingerprint
+        assert not list(store.store_dir.glob("*.phomdlt"))
+        region = store.payload_region(fingerprint)
+        assert region is not None and region.overlay is None
+        loaded = store.load(fingerprint, graph)
         assert_bit_identical(loaded, PreparedDataGraph(graph))
+
+    def test_record_that_appended_nodes_is_rebuilt(self, tmp_path):
+        """A delta record in the format that also chained node growth
+        (``appended_reprs``, rows past the base's node count) reads as a
+        miss under both backends: the first request rebuilds the index
+        and saves it in full."""
+        pytest.importorskip("numpy")
+        base_graph = stream_graph(88)
+        graph = base_graph.copy()
+        graph.add_node(900, label="fresh")
+        graph.add_edge(0, 900)
+        base = PreparedDataGraph(base_graph)
+        grown = PreparedDataGraph(graph)
+        fingerprint = grown.fingerprint
+        for backend in ("python", "numpy"):
+            store = PreparedIndexStore(tmp_path / backend)
+            store.save(base)
+            store.delta_path_for(fingerprint).write_bytes(grown_record(base, grown))
+            assert store.chain_depth(fingerprint) == 1
+            assert store.load(fingerprint, graph) is None
+
+            service = MatchingService(store=store, backend=backend)
+            assert_bit_identical(service.prepared_for(graph), grown)
+            snap = service.stats.snapshot()
+            assert snap["disk_hits"] == 0 and snap["prepares"] == 1, (backend, snap)
+            assert store.chain_depth(fingerprint) == 0
 
 
 class TestChainAwareGC:

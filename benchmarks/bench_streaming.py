@@ -16,7 +16,10 @@ payload rewrites.  Three floors are asserted over a 500-step run:
 
 ``--json PATH`` writes ``BENCH_streaming.json`` (with ``peak_rss_kb``)
 via the shared benchmark plumbing; ``-k equivalence`` is the cheap CI
-smoke.
+smoke.  It also drives the sharded write path: a multi-site corpus
+mutating under ``ShardedMatchingService.update_graph`` (plan evolution
+plus per-shard delta evolution), every answer checked against the flat
+partitioned solve and the p-hom definition.
 """
 
 from __future__ import annotations
@@ -26,9 +29,13 @@ import time
 
 from repro.core.api import match_prepared
 from repro.core.incremental import DeltaLog
+from repro.core.optimize import comp_max_card_partitioned
+from repro.core.phom import check_phom_mapping
 from repro.core.prepared import PreparedDataGraph, prepare_data_graph
+from repro.core.sharding import ShardedMatchingService
 from repro.core.store import CHAIN_DEPTH_MAX, PreparedIndexStore
 from repro.similarity.labels import label_equality_matrix
+from repro.workload.scenario import Scenario, ScenarioSpec
 
 from bench_incremental import _fresh_edge, _skeleton
 
@@ -97,6 +104,50 @@ def test_streaming_equivalence(tmp_path):
         prepared = evolved
         log.rebase(prepared.fingerprint)
     assert chained_writes >= 50  # chain mode, not full rewrites, carried the run
+
+
+def test_sharded_streaming_equivalence(tmp_path):
+    """CI smoke for the sharded write path: 60 mutate+match steps on a
+    multi-site corpus under ``ShardedMatchingService(2, chain=True)``.
+
+    Each step toggles one intra-site shortcut edge (``Scenario.mutate``),
+    re-plans through ``update_graph`` and serves one pattern; the answer
+    must equal the flat partitioned solve on the current graph and be a
+    valid p-hom mapping under ξ.  The shard workers must have evolved
+    their resident indexes rather than only cold-preparing.
+    """
+    scenario = Scenario(
+        ScenarioSpec(sites=8, site_size=60, patterns_per_site=2), seed=7
+    )
+    corpus = scenario.corpus
+    router = ShardedMatchingService(2, store_dir=str(tmp_path / "idx"), chain=True)
+    plan = router.plan_for(corpus)
+    for sid in plan.nonempty_shards():
+        router.workers[sid].prepared_for(
+            plan.shard_graph(sid), fingerprint=plan.fingerprint_for(sid)
+        )
+    rng = random.Random(23)
+    steps = 60
+    for step in range(steps):
+        scenario.mutate(rng)
+        router.update_graph(corpus)
+        pattern = rng.choice(scenario.patterns)
+        report = router.match_sharded(
+            pattern, corpus, scenario.similarity, scenario.xi
+        )
+        mat = label_equality_matrix(pattern, corpus)
+        reference = comp_max_card_partitioned(pattern, corpus, mat, scenario.xi)
+        assert report.result.mapping == reference.mapping, step
+        assert report.result.qual_card == reference.qual_card, step
+        assert report.result.qual_sim == reference.qual_sim, step
+        violations = check_phom_mapping(
+            pattern, corpus, report.result.mapping, mat, scenario.xi
+        )
+        assert violations == [], (step, violations)
+    snap = router.stats_snapshot()
+    assert snap["plans_evolved"] == steps
+    assert snap["aggregate"]["shard_evolves"] > 0
+    assert snap["aggregate"]["chain_writes"] > 0
 
 
 def test_streaming_sustained(bench_json, tmp_path):

@@ -160,6 +160,13 @@ class DeltaLog:
     (the fingerprint of the prepared index they evolve); ``owner`` tags
     which cache attached the log, so several services can track one
     graph without stealing each other's history.
+
+    The observed graph is held weakly (:attr:`graph` reads a weakref).
+    The graph holds its logs strongly in ``_delta_logs``, so a strong
+    back reference would make every observed graph part of a reference
+    cycle: a replaced shard view, with its adjacency sets, would then
+    wait for a full garbage collection instead of being freed when its
+    last user drops it.
     """
 
     def __init__(
@@ -171,7 +178,7 @@ class DeltaLog:
     ) -> None:
         if max_events < 1:
             raise InputError(f"a delta log needs room for events, got {max_events!r}")
-        self.graph = graph
+        self._graph_ref = None if graph is None else weakref.ref(graph)
         self.base_fingerprint = base_fingerprint
         # The owner is held weakly: a cache that attached logs to
         # long-lived graphs must not be pinned (with every prepared
@@ -236,14 +243,20 @@ class DeltaLog:
         self.structural_events = 0
         self.overflowed = False
 
+    @property
+    def graph(self) -> DiGraph | None:
+        """The observed graph (``None`` once detached or freed)."""
+        return None if self._graph_ref is None else self._graph_ref()
+
     def detach(self) -> None:
         """Stop observing the graph (idempotent)."""
-        if self.graph is not None:
+        graph = self.graph
+        if graph is not None:
             try:
-                self.graph._delta_logs.remove(self)
+                graph._delta_logs.remove(self)
             except ValueError:
                 pass
-            self.graph = None
+        self._graph_ref = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -332,8 +345,9 @@ class DeltaLog:
         (recording more events onto it is the caller's business);
         ``graph``/``base_fingerprint``/``owner`` pass through to the
         constructor for callers that want the diff *tracked* — the
-        sharded router scopes a shard-level diff this way so the shard's
-        worker cache evolves its resident index instead of cold-preparing.
+        sharded router scopes a shard-level diff this way, when it has
+        no slice of its own log for the shard, so the shard's worker
+        cache evolves its resident index instead of cold-preparing.
         """
         log = cls(graph, base_fingerprint=base_fingerprint, owner=owner, max_events=max(
             MAX_EVENTS,

@@ -56,6 +56,7 @@ through each worker's ``ServiceStats.solved_by``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from collections import Counter, OrderedDict
 from time import perf_counter
@@ -139,22 +140,30 @@ class ShardPlan:
         self.shard_of: dict[Node, int] = {}
         self.cycle_nodes: frozenset[Node] = frozenset()
         self.weak_components: int = 0
+        #: The weak components keyed by their first member, and each
+        #: node's component key — kept so :meth:`evolve` re-explores only
+        #: the components an update hit.  An evolved plan copies both
+        #: maps and shares the member lists read-only.
+        self._components: dict[Node, list[Node]] = {}
+        self._component_of: dict[Node, Node] = {}
         self._position: dict[Node, int] = {}
         self._graphs: dict[object, DiGraph] = {}
         self._fingerprints: dict[object, str] = {}
-        #: Per-shard label-set signatures (prefilter shard consultation).
-        self._label_sigs: list[int] | None = None
-        #: Per-shard label → members indexes, built lazily per shard —
-        #: a shard the signature test never consults never builds one.
+        #: Per-shard label-set signatures (prefilter shard consultation)
+        #: and label → members indexes, each built lazily per shard — a
+        #: shard the signature test never consults never builds an index.
+        self._label_sigs: dict[int, int] = {}
         self._label_members: dict[int, dict] = {}
         #: Filled by :meth:`evolve`: what the re-plan kept and moved.
         self.evolve_stats: dict | None = None
         #: Filled by :meth:`evolve`: shard id → (old shard graph, old
-        #: shard fingerprint) for shards whose content *changed* but
-        #: whose predecessor view was cached — the router scopes a
-        #: shard-level delta from these so each changed shard's worker
-        #: evolves its resident index instead of cold-preparing.
-        self._evolve_bases: dict[int, tuple[DiGraph, str]] = {}
+        #: shard fingerprint, edge events or ``None``) for shards whose
+        #: content *changed* but whose predecessor view was cached — the
+        #: router scopes a shard-level delta from these so each changed
+        #: shard's worker evolves its resident index instead of
+        #: cold-preparing.  The events are the router log's slice for a
+        #: shard whose node list did not move; ``None`` asks for a diff.
+        self._evolve_bases: dict[int, tuple[DiGraph, str, list | None]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -183,6 +192,9 @@ class ShardPlan:
 
         weak = weakly_connected_components(graph2)
         plan.weak_components = len(weak)
+        for members in weak:
+            plan._components[members[0]] = members
+            plan._component_of.update(dict.fromkeys(members, members[0]))
         assignment: list[list[Node]] = [[] for _ in range(shards)]
         plan._balance_components(weak, assignment, [0] * shards)
         plan._adopt_assignment(assignment)
@@ -200,9 +212,9 @@ class ShardPlan:
         Ties break toward the earliest enumeration position, then the
         lowest shard id — the one placement rule both a fresh plan and
         an evolved re-plan must share (divergence would silently change
-        which shard a moved component lands on).  ``assignment`` and
-        ``loads`` may carry pre-pinned components (the evolve path);
-        returns the shard ids that received one, in placement order.
+        which shard a moved component lands on).  ``loads`` may count
+        pre-pinned components (the evolve path); returns each
+        component's shard id, aligned with ``components``.
         """
         order = sorted(
             range(len(components)),
@@ -211,13 +223,13 @@ class ShardPlan:
                 min(self._position[n] for n in components[c]),
             ),
         )
-        placed = []
+        targets = [0] * len(components)
         for c in order:
             target = min(range(self.shards), key=lambda s: (loads[s], s))
             assignment[target].extend(components[c])
             loads[target] += len(components[c])
-            placed.append(target)
-        return placed
+            targets[c] = target
+        return targets
 
     def _adopt_assignment(self, assignment: list[list[Node]]) -> None:
         """Freeze an assignment into enumeration-ordered shard views."""
@@ -242,24 +254,37 @@ class ShardPlan:
         )
 
     def evolve(self, graph2: DiGraph, delta) -> "ShardPlan":
-        """Re-plan after a mutation, moving only what the delta touched.
+        """Re-plan after a mutation, in proportion to what the delta hit.
 
         ``delta`` is the :class:`~repro.core.incremental.DeltaLog`
-        recorded since this plan was built.  A weakly connected component
-        none of whose nodes were touched (structurally *or* by a
-        label/weight change — either moves its shard fingerprint) stays
-        pinned to its current shard, so that shard's node list, cached
-        subgraph and cached fingerprint — and therefore every worker's
-        prepared index and disk file for it — survive the mutation.
-        Only changed, merged, split or new components are re-balanced
-        (largest-first onto the lightest shard, like a fresh plan).
+        recorded since this plan was built.  Every added or removed edge
+        joins two ``touched`` nodes, and a removed node's neighbours are
+        touched too, so a weak component holding no touched node kept
+        its members and every incident edge: it is carried over with
+        its cycle members.  Only the components the delta hit are walked
+        again, from their surviving members and the new nodes — a walk
+        that cannot leave them — and only those are condensed.
+
+        A carried component none of whose nodes was relabeled (a label
+        or weight change moves its shard fingerprint) stays pinned to
+        its current shard, so that shard's node list, cached subgraph
+        and cached fingerprint — and therefore every worker's prepared
+        index and disk file for it — survive the mutation.  Walked and
+        relabeled components are re-balanced (largest-first onto the
+        lightest shard, like a fresh plan).  ``_position`` carries over
+        when no node was added or removed; a shard whose node list is
+        unchanged keeps its list, and its label signature and label
+        index unless a member was relabeled.
 
         The result is a valid closure-closed plan for the new content —
         sharded solves stay bit-identical to the flat partitioned solve —
         but its *placement* may differ from ``for_data_graph`` of the
         same graph: stability is the point (moving a component cold-
         starts its worker), so evolved placement is history-dependent.
-        ``evolve_stats`` records what moved.
+        ``evolve_stats`` records what moved.  For a changed shard whose
+        node list did not move, the log's edge events inside it are kept
+        as that shard's delta (see
+        :meth:`ShardedMatchingService._scope_shard_delta`).
         """
         self._require_graph()
         if (
@@ -268,43 +293,120 @@ class ShardPlan:
             and delta.base_fingerprint != self.fingerprint
         ):
             raise InputError("delta log does not extend this shard plan")
-        affected = set(delta.touched) | set(delta.relabeled) | set(delta.removed_nodes)
         plan = ShardPlan("graph", self.shards)
         plan.graph = graph2
         plan.fingerprint = graph_fingerprint(graph2)
-        plan._position = {node: i for i, node in enumerate(graph2.nodes())}
+        # Enumeration order moves only when a node is added or removed: a
+        # removal is always logged, and without one an unchanged node
+        # count rules out an addition.
+        same_nodes = (
+            not delta.removed_nodes and graph2.num_nodes() == len(self._position)
+        )
+        plan._position = (
+            self._position
+            if same_nodes
+            else {node: i for i, node in enumerate(graph2.nodes())}
+        )
 
-        weak = weakly_connected_components(graph2)
-        plan.weak_components = len(weak)
-        assignment: list[list[Node]] = [[] for _ in range(self.shards)]
+        components = self._components
+        component_of = self._component_of
+        hit_nodes: list[Node] = []
+        walked: list[list[Node]] = []
+        vacated: set[int] = set()  # shards a re-pooled component left
+        if delta.touched:
+            components = dict(components)
+            component_of = dict(component_of)
+            for key in {component_of[n] for n in delta.touched if n in component_of}:
+                hit_nodes.extend(components.pop(key))
+                vacated.add(self.shard_of[key])
+            for node in hit_nodes:
+                del component_of[node]
+            roots = [
+                node for node in itertools.chain(hit_nodes, delta.touched)
+                if node in graph2
+            ]
+            walked = weakly_connected_components(graph2, roots)
+            for members in walked:
+                components[members[0]] = members
+                component_of.update(dict.fromkeys(members, members[0]))
+        if len(component_of) != graph2.num_nodes():
+            raise InputError("delta log does not account for every node")
+        plan._components = components
+        plan._component_of = component_of
+        plan.weak_components = len(components)
+
+        walked_keys = {members[0] for members in walked}
+        relabeled_keys = {component_of[n] for n in delta.relabeled if n in component_of}
+        stable_parts: list[list[list[Node]]] = [[] for _ in range(self.shards)]
         loads = [0] * self.shards
-        stable_only = [True] * self.shards
         repooled: list[list[Node]] = []
-        stable = 0
-        for component in weak:
-            homes = {self.shard_of.get(node) for node in component}
-            if len(homes) == 1 and None not in homes and not (affected & set(component)):
-                (home,) = homes
-                assignment[home].extend(component)
-                loads[home] += len(component)
-                stable += 1
+        for key, members in components.items():
+            if key in walked_keys:
+                repooled.append(members)
+            elif key in relabeled_keys:
+                repooled.append(members)
+                vacated.add(self.shard_of[key])
             else:
-                repooled.append(component)
-        for target in plan._balance_components(repooled, assignment, loads):
-            stable_only[target] = False
-        plan._adopt_assignment(assignment)
-        plan.cycle_nodes = plan._derive_cycle_nodes(graph2)
+                home = self.shard_of[key]
+                stable_parts[home].append(members)
+                loads[home] += len(members)
+        placed: list[list[Node]] = [[] for _ in range(self.shards)]
+        targets = plan._balance_components(repooled, placed, loads)
+        received = set(targets)
 
+        # A shard neither left nor joined holds exactly its old
+        # components: its node list carries over unsorted.
+        for sid, old_nodes in enumerate(self.shard_nodes):
+            if sid not in vacated and sid not in received:
+                plan.shard_nodes.append(old_nodes)
+                continue
+            nodes = [node for members in stable_parts[sid] for node in members]
+            nodes += placed[sid]
+            nodes.sort(key=plan._position.__getitem__)
+            plan.shard_nodes.append(old_nodes if nodes == old_nodes else nodes)
+        shard_of = dict(self.shard_of)
+        for node in delta.removed_nodes:
+            if node not in graph2:
+                shard_of.pop(node, None)
+        for members, target in zip(repooled, targets):
+            shard_of.update(dict.fromkeys(members, target))
+        plan.shard_of = shard_of
+
+        cycle_nodes = self.cycle_nodes.difference(hit_nodes)
+        if walked:
+            walked_nodes = [node for members in walked for node in members]
+            cycle_nodes |= plan._derive_cycle_nodes(graph2.subgraph(walked_nodes))
+        plan.cycle_nodes = cycle_nodes
+
+        unmoved = [
+            sid for sid in range(self.shards)
+            if plan.shard_nodes[sid] is self.shard_nodes[sid]
+        ]
         # Carry warm views over: a shard holding exactly its old, fully
         # untouched components has a byte-identical subgraph, so its
         # cached graph and fingerprint (the keys every worker's memory
         # and disk tier serve by) pass straight through.
-        reused = [
-            sid
-            for sid in range(self.shards)
-            if stable_only[sid] and plan.shard_nodes[sid] == self.shard_nodes[sid]
-        ]
+        reused = [sid for sid in unmoved if sid not in received]
         reused_set = set(reused)
+        # A relabeled member, or a removed one that came back (possibly
+        # under another label), makes a shard's label views stale.
+        stale_labels = {
+            shard_of[node]
+            for node in itertools.chain(delta.relabeled, delta.removed_nodes)
+            if node in shard_of
+        }
+        # A changed shard whose node list did not move gets its slice of
+        # the log: the edge events with both endpoints inside it replay
+        # the shard's own change.  Node churn, relabels or an overflowed
+        # log leave the diff to the router.
+        slices: dict[int, list] | None = None
+        if same_nodes and not delta.relabeled and not delta.overflowed:
+            slices = {}
+            for event in delta.events:
+                if event.op in ("add_edge", "remove_edge"):
+                    sid = shard_of.get(event.a)
+                    if sid is not None and shard_of.get(event.b) == sid:
+                        slices.setdefault(sid, []).append(event)
         with self._lock:
             for key, cached in self._graphs.items():
                 if (key in reused_set) if isinstance(key, int) else key <= reused_set:
@@ -312,18 +414,29 @@ class ShardPlan:
             for key, cached in self._fingerprints.items():
                 if (key in reused_set) if isinstance(key, int) else key <= reused_set:
                     plan._fingerprints[key] = cached
+            for sid in unmoved:
+                if sid in stale_labels:
+                    continue
+                if sid in self._label_sigs:
+                    plan._label_sigs[sid] = self._label_sigs[sid]
+                if sid in self._label_members:
+                    plan._label_members[sid] = self._label_members[sid]
             # Changed shards whose *old* view is still cached become
-            # delta-evolution bases: the router diffs old vs new shard
-            # graph and the shard's worker evolves its resident index.
+            # delta-evolution bases for their workers' resident indexes.
             for sid in range(self.shards):
                 if sid in reused_set or not plan.shard_nodes[sid]:
                     continue
                 old_graph = self._graphs.get(sid)
                 old_fingerprint = self._fingerprints.get(sid)
                 if old_graph is not None and old_fingerprint is not None:
-                    plan._evolve_bases[sid] = (old_graph, old_fingerprint)
+                    events = (
+                        slices.get(sid, [])
+                        if slices is not None and sid in unmoved
+                        else None
+                    )
+                    plan._evolve_bases[sid] = (old_graph, old_fingerprint, events)
         plan.evolve_stats = {
-            "stable_components": stable,
+            "stable_components": len(components) - len(repooled),
             "replanned_components": len(repooled),
             "reused_shards": reused,
         }
@@ -397,31 +510,32 @@ class ShardPlan:
                 cached = self._graphs.setdefault(shard_id, built)
         return cached
 
-    def shard_label_signatures(self) -> list[int]:
-        """Per-shard hashed label-set signatures, computed once per plan.
+    def shard_label_signature(self, shard_id: int) -> int:
+        """Shard ``shard_id``'s hashed label-set signature, built lazily.
 
-        ``sigs[sid]`` has bit :func:`~repro.core.prefilter.label_bit`\\ (L)
-        set iff some node of shard ``sid`` carries label ``L``.  The
-        router's gated fast path consults a shard only when a pattern
-        label's bit is present — a clear bit *proves* the shard has no
-        label-equal candidate (hash collisions only ever add false
-        presences, never false absences, so skipping stays sound).
+        Bit :func:`~repro.core.prefilter.label_bit`\\ (L) is set iff
+        some node of the shard carries label ``L``.  The router's gated
+        fast path consults a shard only when a pattern label's bit is
+        present — a clear bit *proves* the shard has no label-equal
+        candidate (hash collisions only ever add false presences, never
+        false absences, so skipping stays sound).  Per shard, so an
+        evolved plan recomputes only the shards whose labels changed.
         """
-        self._require_graph()
+        graph = self._require_graph()
+        if not 0 <= shard_id < self.shards:
+            raise InputError(
+                f"shard id {shard_id!r} out of range for {self.shards} shards"
+            )
         with self._lock:
-            cached = self._label_sigs
+            cached = self._label_sigs.get(shard_id)
         if cached is None:
-            graph = self.graph
-            # Off-lock like the subgraph builds: one pass over every
-            # node; racing builders produce equal lists, first-in wins.
-            built = [
-                label_signature(graph.label(node) for node in nodes)
-                for nodes in self.shard_nodes
-            ]
+            # Off-lock like the subgraph builds: one pass over the
+            # shard; racing builders produce equal values, first-in wins.
+            built = label_signature(
+                graph.label(node) for node in self.shard_nodes[shard_id]
+            )
             with self._lock:
-                if self._label_sigs is None:
-                    self._label_sigs = built
-                cached = self._label_sigs
+                cached = self._label_sigs.setdefault(shard_id, built)
         return cached
 
     def shard_label_members(self, shard_id: int) -> dict:
@@ -732,8 +846,8 @@ class ShardedMatchingService:
         Returns the (evolved, when possible) shard plan for the graph's
         new content; untouched components keep their shards, so the
         workers serving them stay warm.  Per-shard prepared indexes for
-        *changed* shards rebuild lazily on the next request that routes
-        to them.
+        *changed* shards evolve (or rebuild) lazily on the next request
+        that routes to them.
         """
         with Stopwatch() as watch:
             plan = self.plan_for(graph2)
@@ -891,13 +1005,18 @@ class ShardedMatchingService:
         """Scope the plan's mutation onto one changed shard as a delta.
 
         An evolved plan records the previous (graph, fingerprint) view
-        of every shard whose content changed (``ShardPlan.evolve``);
-        here the router diffs old vs new shard subgraph and attaches the
-        result as a :class:`~repro.core.incremental.DeltaLog` owned by
-        the shard worker's cache, so the worker's next ``prepared_for``
-        **evolves** its resident base index through the shard-scoped
-        delta (``delta_hits`` on the worker, ``shard_evolves`` once the
+        of every shard whose content changed (``ShardPlan.evolve``),
+        plus, when the shard's node list did not move, its slice of the
+        router's log: the edge events with both endpoints in the shard.
+        The slice is replayed into a
+        :class:`~repro.core.incremental.DeltaLog` on the new shard graph,
+        owned by the shard worker's cache, so the worker's next
+        ``prepared_for`` **evolves** its resident base index through it
+        (``delta_hits`` on the worker, ``shard_evolves`` once the
         evolution lands) instead of cold-preparing the whole shard.
+        Without a slice — node churn, a relabel or an overflowed router
+        log, or a shard whose node list changed — the router diffs old
+        vs new shard subgraph instead (``DeltaLog.from_diff``).
         Returns the log — fresh, or the one a previous request already
         attached — or ``None`` when there is nothing to scope; every
         refusal path simply leaves the ordinary tiers in charge.
@@ -906,13 +1025,18 @@ class ShardedMatchingService:
             base = plan._evolve_bases.get(shard_id)
         if base is None:
             return None
-        base_graph, base_fingerprint = base
+        base_graph, base_fingerprint, events = base
         if base_fingerprint == shard_fingerprint:
             return None  # content did not actually move for this shard
         cache = service.cache
         existing = DeltaLog.find(shard_graph, cache)
         if existing is not None:
             return existing
+        if events is not None:
+            log = DeltaLog(shard_graph, base_fingerprint=base_fingerprint, owner=cache)
+            for event in events:
+                log.record(*event)
+            return log
         try:
             return DeltaLog.from_diff(
                 base_graph,
@@ -969,13 +1093,13 @@ class ShardedMatchingService:
         cand: list[dict[Node, float]] = []
         if gate is not None:
             with Stopwatch() as filter_watch:
-                sigs = plan.shard_label_signatures()
                 nonempty = plan.nonempty_shards()
                 bits = {label_bit(pattern.label(node)) for node in nodes1}
-                consulted = [
-                    sid for sid in nonempty
-                    if any(has_bit(sigs[sid], bit) for bit in bits)
-                ]
+                consulted = []
+                for sid in nonempty:
+                    sig = plan.shard_label_signature(sid)
+                    if any(has_bit(sig, bit) for bit in bits):
+                        consulted.append(sid)
                 filtered["shards_skipped"] = len(nonempty) - len(consulted)
                 score = gate.score  # constant; ξ ≤ 1.0 ≤ score by contract
                 for node in nodes1:

@@ -303,8 +303,7 @@ class ChainOverlay:
     backend layers them copy-on-write over its matrix views, exactly
     like an in-process ``evolve_rows`` refresh.  ``fingerprint`` /
     ``num_edges`` / ``prepare_seconds`` describe the chain *leaf* (they
-    patch the base header on open); ``depth`` is the number of records
-    replayed.
+    patch the base header on open).
     """
 
     fingerprint: str
@@ -313,7 +312,6 @@ class ChainOverlay:
     from_rows: dict[int, int]
     to_rows: dict[int, int]
     cycle_mask: int
-    depth: int
 
 
 @dataclass(frozen=True)
@@ -351,15 +349,17 @@ class PayloadRegion:
 
 
 class _Mapping:
-    """One shared read-only map of a store file, identity-pinned.
+    """One shared read-only map of a store file.
 
     ``size``/``mtime_ns`` are the stat identity the caller validated
-    (see :class:`PayloadRegion`); a file that changed between validation
-    and open is rejected rather than silently mapped.  The underlying
-    :class:`mmap.mmap` closes once the last view over it is released.
+    (see :class:`PayloadRegion`); a file whose size changed between
+    validation and open is rejected rather than silently mapped.  Only
+    ``buffer`` is kept: the identity lives in the interning key.  The
+    underlying :class:`mmap.mmap` closes once the last view over it is
+    released.
     """
 
-    __slots__ = ("path", "size", "mtime_ns", "buffer", "__weakref__")
+    __slots__ = ("buffer", "__weakref__")
 
     def __init__(self, path, size: int, mtime_ns: int) -> None:
         with open(path, "rb") as handle:
@@ -367,9 +367,6 @@ class _Mapping:
         if buffer.size() != size:
             buffer.close()
             raise ValueError("store file changed size since validation")
-        self.path = path
-        self.size = size
-        self.mtime_ns = mtime_ns
         self.buffer = buffer
 
 
@@ -388,16 +385,25 @@ _mappings_lock = threading.Lock()
 
 
 def _shared_mapping(region: PayloadRegion) -> _Mapping:
-    """The process-wide mapping for ``region``'s exact file identity."""
+    """The process-wide mapping for ``region``'s exact file identity.
+
+    The lock guards only the table: the open, map and size check run
+    off-lock, so mapped opens of different files never queue behind
+    each other.  Racing openers of one file may each map it; the first
+    to publish wins and the others close their map and share its.
+    """
     key = (
         str(region.path), region.file_size, region.mtime_ns, region.payload_sha256
     )
     with _mappings_lock:
         mapping = _mappings.get(key)
-        if mapping is None:
-            mapping = _Mapping(region.path, region.file_size, region.mtime_ns)
-            _mappings[key] = mapping
-        return mapping
+    if mapping is None:
+        built = _Mapping(region.path, region.file_size, region.mtime_ns)
+        with _mappings_lock:
+            mapping = _mappings.setdefault(key, built)
+        if mapping is not built:
+            built.buffer.close()
+    return mapping
 
 
 class _MappedIntRows(Sequence):
@@ -470,8 +476,6 @@ class MappedPayload:
     masks: memoryview = field(repr=False)
     #: The shared :class:`_Mapping` the views read (pins it).
     mapping: _Mapping = field(repr=False)
-    #: The validated :class:`PayloadRegion` opened.
-    region: PayloadRegion = field(repr=False)
     #: Name of the backend whose ``rows`` are pre-seeded, if any.
     backend_name: str | None = None
     #: That backend's native rows over the mapping.
@@ -522,7 +526,6 @@ def map_payload(region: PayloadRegion) -> MappedPayload:
         cycle_mask=cycle_mask,
         masks=masks,
         mapping=mapping,
-        region=region,
     )
 
 
@@ -1227,7 +1230,6 @@ class PreparedIndexStore:
                 from_rows=from_rows,
                 to_rows=to_rows,
                 cycle_mask=cycle_mask,
-                depth=len(records),
             )
         except (ValueError, KeyError, TypeError):
             return None

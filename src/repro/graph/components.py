@@ -10,7 +10,7 @@ connectivity.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable
+from typing import Hashable, Iterable
 
 from repro.graph.digraph import DiGraph
 
@@ -19,15 +19,19 @@ __all__ = ["weakly_connected_components", "is_weakly_connected"]
 Node = Hashable
 
 
-def weakly_connected_components(graph: DiGraph) -> list[list[Node]]:
+def weakly_connected_components(
+    graph: DiGraph, roots: Iterable[Node] | None = None
+) -> list[list[Node]]:
     """Partition the nodes into weakly connected components.
 
     Components are returned in first-seen order; within a component, nodes
-    appear in BFS order from the first-seen member.
+    appear in BFS order from the first-seen member.  ``roots`` (nodes of
+    ``graph``) restricts the walk to the components containing them, each
+    returned once, so the cost is their total size rather than the graph's.
     """
     seen: set[Node] = set()
     components: list[list[Node]] = []
-    for root in graph.nodes():
+    for root in graph.nodes() if roots is None else roots:
         if root in seen:
             continue
         component: list[Node] = []

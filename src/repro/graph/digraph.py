@@ -318,25 +318,27 @@ class DiGraph:
 
         Nodes absent from the graph raise :class:`GraphError` — an induced
         subgraph of unknown nodes is almost always a caller bug.
+
+        Built in bulk: every table is filled by one comprehension in this
+        graph's insertion order (so node enumeration order is preserved),
+        and each adjacency set is an intersection with the kept nodes.
+        Nodes, order, labels, weights, copied attr dicts and edges are
+        those a node-by-node build would produce; only the iteration
+        order *inside* an adjacency set may differ, and nothing reads it
+        (the engine tie-breaks by node index, fingerprints sort heads).
         """
-        keep = set()
-        for node in nodes:
-            if node not in self._succ:
-                raise GraphError(f"node {node!r} not in graph")
-            keep.add(node)
+        keep = set(nodes)
+        missing = keep.difference(self._succ)
+        if missing:
+            raise GraphError(f"node {next(iter(missing))!r} not in graph")
         sub = DiGraph(name=name or f"{self.name}[{len(keep)}]")
-        for node in self._succ:  # preserve insertion order for determinism
-            if node in keep:
-                sub.add_node(
-                    node,
-                    label=self._labels[node],
-                    weight=self._weights[node],
-                    **self._attrs[node],
-                )
-        for node in sub.nodes():
-            for head in self._succ[node]:
-                if head in keep:
-                    sub.add_edge(node, head)
+        order = [node for node in self._succ if node in keep]
+        sub._labels = {node: self._labels[node] for node in order}
+        sub._weights = {node: self._weights[node] for node in order}
+        sub._attrs = {node: dict(self._attrs[node]) for node in order}
+        sub._succ = {node: self._succ[node] & keep for node in order}
+        sub._pred = {node: self._pred[node] & keep for node in order}
+        sub._edge_count = sum(map(len, sub._succ.values()))
         return sub
 
     def reversed(self) -> "DiGraph":

@@ -60,3 +60,13 @@ def test_appendix_b_partitioning_example():
     assert frozenset({"A", "B"}) in components
     # D-F-G-E remain weakly connected through F->G and E->G.
     assert frozenset({"D", "E", "F", "G"}) in components
+
+
+def test_roots_restrict_the_walk_to_their_components():
+    graph = DiGraph.from_edges(
+        [("a", "b"), ("c", "b"), ("x", "y"), ("p", "q")], nodes=["lonely"]
+    )
+    found = weakly_connected_components(graph, roots=["b", "y", "a", "lonely"])
+    # One entry per component, in first-seen root order.
+    assert [set(c) for c in found] == [{"a", "b", "c"}, {"x", "y"}, {"lonely"}]
+    assert weakly_connected_components(graph, roots=[]) == []

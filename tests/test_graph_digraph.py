@@ -187,6 +187,46 @@ class TestDerivedGraphs:
         assert sub.weight("a") == 4.0
         assert sub.attrs("a")["content"] == ["x"]
 
+    def test_bulk_subgraph_equals_a_node_by_node_build(self):
+        """The bulk build yields what add_node/add_edge calls would:
+        order, labels, weights, attr copies, edges and the edge count
+        (self-loops included), and a fresh, unobserved graph."""
+        import random
+
+        rng = random.Random(3)
+        graph = DiGraph(name="g")
+        for i in range(40):
+            graph.add_node(i, label=f"L{i % 5}", weight=1.0 + i % 3, tag=[i])
+        for _ in range(120):
+            graph.add_edge(rng.randrange(40), rng.randrange(40))
+        graph.remove_node(7)
+        graph.add_node(7, label="again")  # re-added: moves to the end
+        keep = rng.sample(list(graph.nodes()), 25)
+
+        expected = DiGraph(name="slow")
+        for node in graph.nodes():
+            if node in keep:
+                expected.add_node(
+                    node, label=graph.label(node), weight=graph.weight(node),
+                    **graph.attrs(node),
+                )
+        for tail, head in graph.edges():
+            if tail in keep and head in keep:
+                expected.add_edge(tail, head)
+
+        sub = graph.subgraph(iter(keep), name="fast")
+        assert sub.name == "fast"
+        assert list(sub.nodes()) == list(expected.nodes())
+        assert sub == expected
+        assert sub.num_edges() == expected.num_edges()
+        assert sorted(sub.edges()) == sorted(expected.edges())
+        assert all(set(sub.predecessors(n)) == set(expected.predecessors(n))
+                   for n in sub.nodes())
+        for node in sub.nodes():
+            assert sub.attrs(node) == graph.attrs(node)
+            assert sub.attrs(node) is not graph.attrs(node)
+        assert sub._delta_logs == [] and sub._fingerprint_cache is None
+
     def test_reversed(self):
         graph = DiGraph.from_edges([("a", "b"), ("b", "c")])
         rev = graph.reversed()

@@ -653,6 +653,28 @@ class TestDeltaLog:
         assert log.events == []
         assert graph._delta_logs == []
 
+    def test_observed_graph_is_freed_by_refcount_alone(self):
+        """A log holds its graph weakly, so graph ↔ log is no reference
+        cycle: a dropped shard view (with its adjacency sets) is freed at
+        once, not at the next full collection."""
+        import gc
+        import weakref
+
+        graph = DiGraph.from_edges([("a", "b"), ("b", "c")])
+        log = DeltaLog(graph, base_fingerprint="x" * 64, owner=self)
+        assert log.graph is graph
+        probe = weakref.ref(graph)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del graph
+            assert probe() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert log.graph is None
+        log.detach()  # a freed graph detaches cleanly
+
     def test_overflow_keeps_summaries(self):
         graph = DiGraph()
         log = DeltaLog(graph, max_events=2)

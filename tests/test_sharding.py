@@ -15,11 +15,16 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.sharding as sharding
 from helpers import make_random_instance
 from repro.core.api import match
 from repro.core.backends import available_backends
+from repro.core.incremental import DeltaLog
 from repro.core.optimize import comp_max_card_partitioned
+from repro.core.prefilter import LabelEqualitySimilarity, label_signature
+from repro.core.prepared import PreparedDataGraph
 from repro.core.service import MatchingService
 from repro.core.sharding import (
     ShardPlan,
@@ -644,6 +649,428 @@ class TestShardPlanEvolution:
         data.add_edge(0, 3)
         with pytest.raises(InputError):
             plan.evolve(data, log)
+
+
+# ----------------------------------------------------------------------
+# Local plan evolution: work in proportion to what an update hit
+# ----------------------------------------------------------------------
+def expected_evolution(old_plan, graph, touched, relabeled, removed):
+    """The whole-graph re-plan evolution did before it went local.
+
+    Recompute every weak component, pin a component to its old shard
+    when all its nodes lived there and none was touched, relabeled or
+    removed, re-balance the rest with the plan's placement rule, and
+    derive cycle members from every SCC.  Returns ``(shard_nodes,
+    cycle_nodes, weak_components, evolve_stats)``.
+    """
+    shards = old_plan.shards
+    affected = touched | relabeled | removed
+    position = {node: i for i, node in enumerate(graph.nodes())}
+    weak = weakly_connected_components(graph)
+    assignment = [[] for _ in range(shards)]
+    loads = [0] * shards
+    stable_only = [True] * shards
+    repooled, stable = [], 0
+    for component in weak:
+        homes = {old_plan.shard_of.get(node) for node in component}
+        if len(homes) == 1 and None not in homes and not affected & set(component):
+            (home,) = homes
+            assignment[home].extend(component)
+            loads[home] += len(component)
+            stable += 1
+        else:
+            repooled.append(component)
+    placer = ShardPlan("graph", shards)
+    placer._position = position
+    for target in placer._balance_components(repooled, assignment, loads):
+        stable_only[target] = False
+    shard_nodes = [sorted(nodes, key=position.__getitem__) for nodes in assignment]
+    reused = [
+        sid for sid in range(shards)
+        if stable_only[sid] and shard_nodes[sid] == old_plan.shard_nodes[sid]
+    ]
+    cycle_nodes = frozenset(
+        node
+        for members in strongly_connected_components(graph)
+        if len(members) > 1 or graph.has_self_loop(next(iter(members)))
+        for node in members
+    )
+    stats = {
+        "stable_components": stable,
+        "replanned_components": len(repooled),
+        "reused_shards": reused,
+    }
+    return shard_nodes, cycle_nodes, len(weak), stats
+
+
+def assert_cold_identical(prepared, graph):
+    """A served index must equal a cold prepare of its graph, bit for bit."""
+    cold = PreparedDataGraph(graph)
+    assert prepared.nodes2 == cold.nodes2
+    assert list(prepared.from_mask) == list(cold.from_mask)
+    assert list(prepared.to_mask) == list(cold.to_mask)
+    assert prepared.cycle_mask == cold.cycle_mask
+
+
+def warm_every_shard(router, plan):
+    """Prepare every shard's index on its worker (the set-up a serving
+    fleet runs), which also caches each shard view an evolve carries."""
+    for sid in plan.nonempty_shards():
+        router.workers[sid].prepared_for(
+            plan.shard_graph(sid), fingerprint=plan.fingerprint_for(sid)
+        )
+
+
+def halves_corpus(sites: int = 3, size: int = 20) -> DiGraph:
+    """Chain sites with forward shortcuts and one 2-cycle each.
+
+    Labels name the site *and* its half, so a pattern cut from one half
+    has candidates in that half only.  The chain edge in the middle of a
+    site is a bridge: removing it splits the site into its halves.
+    """
+    graph = DiGraph(name="halves")
+    for s in range(sites):
+        base = s * size
+        for i in range(size):
+            graph.add_node(base + i, label=f"s{s}h{2 * i // size}:L{i % 3}")
+        for i in range(size - 1):
+            graph.add_edge(base + i, base + i + 1)
+        for i in range(0, size - 4, 5):
+            graph.add_edge(base + i, base + i + 3)
+        graph.add_edge(base + 2, base + 1)
+    return graph
+
+
+def half_patterns(graph: DiGraph, sites: int = 3, size: int = 20) -> list[DiGraph]:
+    """One four-node pattern per site half."""
+    return [
+        graph.subgraph(
+            [s * size + h * size // 2 + i for i in range(4)], name=f"s{s}h{h}"
+        )
+        for s in range(sites)
+        for h in range(2)
+    ]
+
+
+class DiffSpy:
+    """Counts ``DeltaLog.from_diff`` calls (the router's fallback)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = DeltaLog.from_diff.__func__
+
+        def spy(cls, *args, **kwargs):
+            self.calls += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(DeltaLog, "from_diff", classmethod(spy))
+
+
+@st.composite
+def mutation_runs(draw):
+    """A multi-component graph, a shard count and mutation steps.
+
+    Each step is one or two raw ops; indices are resolved against the
+    graph as it is when the op runs, so every op is applicable.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=12)
+    )
+    shards = draw(st.integers(1, 3))
+    op = st.tuples(
+        st.sampled_from(
+            ["add_inside", "add_across", "remove_edge", "add_node",
+             "remove_node", "relabel"]
+        ),
+        st.integers(0, 99),
+        st.integers(0, 99),
+    )
+    steps = draw(st.lists(st.lists(op, min_size=1, max_size=2), min_size=1, max_size=6))
+    return sizes, edges, shards, steps
+
+
+def build_components(sizes, edges):
+    """Components as chains (so each is weakly connected) plus extra
+    edges drawn inside them; labels are component-prefixed."""
+    graph = DiGraph(name="multi")
+    members = []
+    node = 0
+    for c, size in enumerate(sizes):
+        ids = list(range(node, node + size))
+        node += size
+        members.append(ids)
+        for i in ids:
+            graph.add_node(i, label=f"c{c}:{'ab'[i % 2]}")
+        for a, b in zip(ids, ids[1:]):
+            graph.add_edge(a, b)
+    for a, b in edges:
+        ids = members[a % len(members)]
+        graph.add_edge(ids[a % len(ids)], ids[b % len(ids)])
+    return graph
+
+
+def apply_op(graph, op, next_id, removed_ids):
+    """Apply one drawn op; returns the next unused node id."""
+    kind, i, j = op
+    nodes = list(graph.nodes())
+    if not nodes:
+        graph.add_node(next_id, label="fresh")
+        return next_id + 1
+    a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+    if kind == "add_inside":
+        component = next(c for c in weakly_connected_components(graph) if a in c)
+        graph.add_edge(a, component[j % len(component)])
+    elif kind == "add_across":
+        graph.add_edge(a, b)
+    elif kind == "remove_edge":
+        edges = sorted(graph.edges(), key=repr)
+        if edges:
+            graph.remove_edge(*edges[i % len(edges)])
+    elif kind == "add_node":
+        if removed_ids and j % 2:
+            fresh = removed_ids.pop()  # a removed id comes back
+        else:
+            fresh, next_id = next_id, next_id + 1
+        graph.add_node(fresh, label=graph.label(a))
+        if i % 3:
+            graph.add_edge(fresh, a)
+    elif kind == "remove_node":
+        graph.remove_node(a)
+        removed_ids.append(a)
+    else:
+        graph.set_label(a, f"{graph.label(b)}'" if i % 2 else graph.label(b))
+    return next_id
+
+
+class TestLocalPlanEvolution:
+    """``ShardPlan.evolve`` re-plans only the components a delta hit,
+    and the router hands each changed shard's worker its slice of the
+    log.  The results must be exactly those of the whole-graph re-plan,
+    and every served index exactly a cold prepare."""
+
+    XI = 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutation_runs())
+    def test_evolution_equals_whole_graph_recomputation(self, run):
+        sizes, edges, shards, steps = run
+        graph = build_components(sizes, edges)
+        pattern = graph.subgraph(
+            list(graph.nodes())[: max(2, len(graph) // 2)], name="p"
+        )
+        source = LabelEqualitySimilarity()
+        router = ShardedMatchingService(shards, max_plans=64)
+        plans = {}
+        plan = router.plan_for(graph)
+        plans[plan.fingerprint] = plan
+        warm_every_shard(router, plan)
+        next_id, removed_ids = 1000, []
+        for step in steps:
+            for op in step:
+                next_id = apply_op(graph, op, next_id, removed_ids)
+            log = DeltaLog.find(graph, router)
+            base = plans[log.base_fingerprint]
+            touched = set(log.touched)
+            relabeled = set(log.relabeled)
+            removed = set(log.removed_nodes)
+            evolved_before = router.stats_snapshot()["plans_evolved"]
+            plan = router.update_graph(graph)
+            if plan.fingerprint in plans:
+                # The content came back to an earlier version: the router
+                # serves that version's plan as it is.
+                assert plans[plan.fingerprint] is plan
+            else:
+                plans[plan.fingerprint] = plan
+                assert router.stats_snapshot()["plans_evolved"] == evolved_before + 1
+                shard_nodes, cycle_nodes, weak, stats = expected_evolution(
+                    base, graph, touched, relabeled, removed
+                )
+                assert plan.shard_nodes == shard_nodes
+                assert plan.cycle_nodes == cycle_nodes
+                assert plan.weak_components == weak
+                assert plan.evolve_stats == stats
+                assert plan.shard_of == {
+                    node: sid for sid, nodes in enumerate(shard_nodes) for node in nodes
+                }
+            for sid, nodes in enumerate(plan.shard_nodes):
+                labels = [graph.label(node) for node in nodes]
+                assert plan.shard_label_signature(sid) == label_signature(labels)
+                members = {}
+                for node in nodes:
+                    members.setdefault(graph.label(node), []).append(node)
+                assert plan.shard_label_members(sid) == members
+
+            report = router.match_sharded(pattern, graph, source, self.XI)
+            reference = comp_max_card_partitioned(
+                pattern, graph, source(pattern, graph), self.XI
+            )
+            assert_reports_identical(report, reference)
+            # Whatever tier served each shard (slice, diff, build), its
+            # index is a cold prepare's; preparing the shards the match
+            # did not touch also caches their views for the next step.
+            for sid in plan.nonempty_shards():
+                shard_graph = plan.shard_graph(sid)
+                prepared = router.workers[sid].prepared_for(
+                    shard_graph, fingerprint=plan.fingerprint_for(sid)
+                )
+                assert_cold_identical(prepared, shard_graph)
+
+    def test_one_edge_update_stays_inside_its_component(self, monkeypatch):
+        """A one-edge update walks and condenses only the component it
+        touched, and the changed shard's worker evolves from the slice
+        of the router's log (no whole-shard diff)."""
+        graph = halves_corpus(sites=6, size=20)
+        patterns = half_patterns(graph, sites=6, size=20)
+        source = LabelEqualitySimilarity()
+        router = ShardedMatchingService(2)
+        plan = router.plan_for(graph)
+        warm_every_shard(router, plan)
+        warm_prepares = router.stats_snapshot()["aggregate"]["prepares"]
+
+        walked, condensed = [], []
+        original_walk = sharding.weakly_connected_components
+        original_condense = ShardPlan._derive_cycle_nodes
+
+        def spy_walk(graph2, roots=None):
+            found = original_walk(graph2, roots)
+            walked.append((roots is None, sum(map(len, found))))
+            return found
+
+        def spy_condense(graph2):
+            condensed.append(graph2.num_nodes())
+            return original_condense(graph2)
+
+        monkeypatch.setattr(sharding, "weakly_connected_components", spy_walk)
+        monkeypatch.setattr(ShardPlan, "_derive_cycle_nodes", staticmethod(spy_condense))
+        diffs = DiffSpy(monkeypatch)
+
+        # Every edit yields content the router has not planned before,
+        # so each one evolves the plan.
+        edits = [
+            ("add", 40, 46), ("add", 75, 79), ("remove", 80, 83), ("remove", 40, 46),
+        ]
+        for step, (kind, tail, head) in enumerate(edits, start=1):
+            if kind == "add":
+                graph.add_edge(tail, head)
+            else:
+                graph.remove_edge(tail, head)
+            walked.clear()
+            condensed.clear()
+            plan = router.update_graph(graph)
+            site = next(c for c in weakly_connected_components(graph) if tail in c)
+            assert walked == [(False, len(site))]
+            assert condensed == [len(site)]
+            assert router.stats_snapshot()["plans_evolved"] == step
+            owner = plan.shard_of[tail]
+            for pattern in patterns:
+                report = router.match_sharded(pattern, graph, source, self.XI)
+                reference = comp_max_card_partitioned(
+                    pattern, graph, source(pattern, graph), self.XI
+                )
+                assert_reports_identical(report, reference)
+            assert_cold_identical(
+                router.workers[owner].prepared_for(
+                    plan.shard_graph(owner), fingerprint=plan.fingerprint_for(owner)
+                ),
+                plan.shard_graph(owner),
+            )
+        assert diffs.calls == 0
+        aggregate = router.stats_snapshot()["aggregate"]
+        assert aggregate["shard_evolves"] == len(edits)
+        assert aggregate["prepares"] == warm_prepares  # no cold shard prepare
+
+    def test_label_views_carry_over_unless_relabeled(self):
+        graph = halves_corpus(sites=4, size=20)
+        router = ShardedMatchingService(2)
+        plan = router.plan_for(graph)
+        sigs = [plan.shard_label_signature(sid) for sid in range(2)]
+        members = [plan.shard_label_members(sid) for sid in range(2)]
+        graph.add_edge(0, 6)
+        evolved = router.update_graph(graph)
+        assert evolved._position is plan._position  # no node added or removed
+        for sid in range(2):
+            assert evolved.shard_nodes[sid] is plan.shard_nodes[sid]
+            assert evolved._label_sigs[sid] == sigs[sid]
+            assert evolved.shard_label_members(sid) is members[sid]
+        graph.set_label(25, "renamed")
+        relabeled = router.update_graph(graph)
+        renamed_shard = relabeled.shard_of[25]
+        assert renamed_shard not in relabeled._label_sigs
+        assert "renamed" in relabeled.shard_label_members(renamed_shard)
+        relabeled.shard_label_signature(renamed_shard)
+        # Lazily filled views land in the new plan's own containers;
+        # the predecessor's shared ones keep what they held.
+        assert evolved._label_sigs[renamed_shard] == sigs[renamed_shard]
+        assert "renamed" not in evolved._label_members[renamed_shard]
+
+    def _fallback_run(self, monkeypatch, mutate, sites=3):
+        """Mutate a warm router's graph, serve every half pattern, and
+        check answers, the diff fallback and cold identity."""
+        graph = halves_corpus(sites=sites, size=20)
+        patterns = half_patterns(graph, sites=sites, size=20)
+        source = LabelEqualitySimilarity()
+        router = ShardedMatchingService(2)
+        plan = router.plan_for(graph)
+        warm_every_shard(router, plan)
+        for pattern in patterns:
+            router.match_sharded(pattern, graph, source, self.XI)
+        diffs = DiffSpy(monkeypatch)
+        mutate(graph, router)
+        plan = router.update_graph(graph)
+        for pattern in patterns:
+            report = router.match_sharded(pattern, graph, source, self.XI)
+            reference = comp_max_card_partitioned(
+                pattern, graph, source(pattern, graph), self.XI
+            )
+            assert_reports_identical(report, reference)
+        assert diffs.calls >= 1
+        assert router.stats_snapshot()["aggregate"]["shard_evolves"] >= 1
+        for sid in plan.nonempty_shards():
+            shard_graph = plan.shard_graph(sid)
+            assert_cold_identical(
+                router.workers[sid].prepared_for(
+                    shard_graph, fingerprint=plan.fingerprint_for(sid)
+                ),
+                shard_graph,
+            )
+        return plan
+
+    def test_node_add_falls_back_to_the_diff(self, monkeypatch):
+        def mutate(graph, router):
+            graph.add_node(500, label="s2h1:L0")
+            graph.add_edge(59, 500)
+
+        plan = self._fallback_run(monkeypatch, mutate)
+        assert plan.shard_of[500] == plan.shard_of[59]
+
+    def test_relabel_falls_back_to_the_diff(self, monkeypatch):
+        def mutate(graph, router):
+            graph.set_label(5, "s0h0:L1")
+
+        self._fallback_run(monkeypatch, mutate)
+
+    def test_component_moving_shards_falls_back_to_the_diff(self, monkeypatch):
+        # Three sites on two shards: sites 0 and 2 share shard 0.  Cutting
+        # site 2's middle bridge re-pools its halves; the second half
+        # lands on shard 1, so both shards' node lists move.
+        def mutate(graph, router):
+            graph.remove_edge(49, 50)
+
+        before = ShardPlan.for_data_graph(halves_corpus(), 2)
+        assert before.shard_of[40] == before.shard_of[59] == 0
+        plan = self._fallback_run(monkeypatch, mutate)
+        assert plan.shard_of[40] == 0 and plan.shard_of[59] == 1
+
+    def test_overflowed_log_falls_back_to_the_diff(self, monkeypatch):
+        def mutate(graph, router):
+            log = DeltaLog.find(graph, router)
+            log.max_events = 1
+            graph.add_edge(0, 7)
+            graph.add_edge(1, 8)
+            assert log.overflowed
+
+        self._fallback_run(monkeypatch, mutate)
 
 
 # ----------------------------------------------------------------------

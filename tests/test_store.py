@@ -116,6 +116,113 @@ class TestPayload:
 
 
 # ----------------------------------------------------------------------
+# Interned file mappings open off the process-wide lock
+# ----------------------------------------------------------------------
+class TestOffLockMappedOpens:
+    """``_shared_mapping`` used to open, map and size-check a file while
+    holding the process-wide ``_mappings_lock``, so mapped opens of
+    different files queued behind each other.  The lock now guards only
+    the table (the double-checked pattern ``ShardPlan.shard_graph``
+    uses)."""
+
+    @staticmethod
+    def _stored_regions(tmp_path, count):
+        store = PreparedIndexStore(tmp_path)
+        regions = []
+        for seed in range(count):
+            graph = random_digraph(30, 90, random.Random(seed), name=f"g{seed}")
+            prepared = prepare_data_graph(graph)
+            store.save(prepared)
+            regions.append(store.payload_region(prepared.fingerprint))
+        return regions
+
+    def test_open_of_one_file_does_not_block_another(self, tmp_path, monkeypatch):
+        import threading
+
+        import repro.core.store as store_module
+
+        region_a, region_b = self._stored_regions(tmp_path, 2)
+        entered, release = threading.Event(), threading.Event()
+        original = store_module._Mapping
+
+        class HeldMapping(original):
+            __slots__ = ()
+
+            def __init__(self, path, size, mtime_ns):
+                if str(path) == str(region_a.path):
+                    entered.set()
+                    assert release.wait(5), "the held open was never released"
+                super().__init__(path, size, mtime_ns)
+
+        monkeypatch.setattr(store_module, "_Mapping", HeldMapping)
+        holder = threading.Thread(target=store_module.map_payload, args=(region_a,))
+        holder.start()
+        try:
+            assert entered.wait(5), "the open of file A never started"
+            opened = []
+            other = threading.Thread(
+                target=lambda: opened.append(store_module.map_payload(region_b))
+            )
+            other.start()
+            other.join(2)
+            assert opened, "mapping file B waited behind file A's open"
+        finally:
+            release.set()
+            holder.join(5)
+            other.join(5)
+        assert not holder.is_alive() and not other.is_alive()
+
+    def test_racing_opens_of_one_file_share_one_mapping(self, tmp_path, monkeypatch):
+        import sys
+        import threading
+
+        import repro.core.store as store_module
+
+        (region,) = self._stored_regions(tmp_path, 1)
+        racers = 4
+        inside = threading.Barrier(racers)
+        original = store_module._Mapping
+
+        class RacingMapping(original):
+            __slots__ = ()
+
+            def __init__(self, path, size, mtime_ns):
+                try:  # hold every racer inside the open at once
+                    inside.wait(timeout=2)
+                except threading.BrokenBarrierError:
+                    pass
+                super().__init__(path, size, mtime_ns)
+
+        monkeypatch.setattr(store_module, "_Mapping", RacingMapping)
+        start = threading.Barrier(racers)
+        payloads = []
+
+        def open_once():
+            start.wait()
+            payloads.append(store_module.map_payload(region))
+
+        threads = [threading.Thread(target=open_once) for _ in range(racers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(payloads) == racers
+        shared = payloads[0].mapping
+        assert all(payload.mapping is shared for payload in payloads)
+        assert not shared.buffer.closed
+        assert all(
+            list(payload.from_ints) == list(payloads[0].from_ints)
+            for payload in payloads
+        )
+
+
+# ----------------------------------------------------------------------
 # Store files
 # ----------------------------------------------------------------------
 class TestPreparedIndexStore:

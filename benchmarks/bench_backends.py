@@ -24,7 +24,7 @@ from functools import lru_cache
 import pytest
 
 from repro.core.api import match_prepared
-from repro.core.backends import available_backends, get_backend
+from repro.core.backends import get_backend
 from repro.core.engine import comp_max_card_engine
 from repro.core.prepared import prepare_data_graph
 from repro.core.store import PreparedIndexStore
@@ -37,10 +37,6 @@ from repro.similarity.matrix import SimilarityMatrix
 SHAPES = ((500, 10, 60), (2400, 16, 150))
 XI = 0.75
 MIN_SPEEDUP = 2.0
-
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy backend unavailable"
-)
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +83,6 @@ def _solve_seconds(workspace: MatchingWorkspace):
     return pairs, stats, time.perf_counter() - start
 
 
-@needs_numpy
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"n{s[0]}")
 def test_backend_equivalence(shape, tmp_path):
     """Bit-identical σ/reports and store hydration across backends."""
@@ -122,7 +117,6 @@ def test_backend_equivalence(shape, tmp_path):
     assert via_restored.result.mapping == report_py.result.mapping
 
 
-@needs_numpy
 @pytest.mark.parametrize("backend", ("python", "numpy"))
 def test_engine_backend(benchmark, backend):
     """pytest-benchmark timing of one engine solve per backend (2400 nodes)."""
@@ -135,7 +129,6 @@ def test_engine_backend(benchmark, backend):
     assert pairs
 
 
-@needs_numpy
 def test_backend_speedup(bench_json):
     """Numpy engine ≥ 2× faster than the big-int reference at 2400 nodes."""
     shape = SHAPES[1]

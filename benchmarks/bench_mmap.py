@@ -45,11 +45,9 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from bench_utils import decode_stored_index
 from repro.core.api import match_prepared
-from repro.core.backends import available_backends, get_backend
+from repro.core.backends import BACKEND_NAMES, get_backend
 from repro.core.prepared import PreparedDataGraph, prepare_data_graph
 from repro.core.service import MatchingService
 from repro.core.store import PreparedIndexStore
@@ -70,10 +68,6 @@ RSS_GRAPHS = 6
 RSS_NODES = 4000
 RSS_LRU = 2
 RSS_ROUNDS = 2
-
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy backend unavailable"
-)
 
 #: The two hydrations compared; both solve with ``backend="numpy"``.
 HYDRATIONS = ("decoded", "mapped")
@@ -139,14 +133,13 @@ def _hydrate_seconds(store_dir: str, hydration: str, graph: DiGraph) -> float:
     elapsed = time.perf_counter() - start
     snapshot = service.stats.snapshot()
     assert snapshot["prepares"] == 0, "store was not warm"
-    assert snapshot["disk_hits"] == 1 and snapshot["mmap_opens"] == 1
+    assert snapshot["disk_hits"] == 1 and snapshot["mapped_bytes"] > 0
     return elapsed
 
 
 # ----------------------------------------------------------------------
 # CI smoke: σ/report identity across every backend, mapped path included
 # ----------------------------------------------------------------------
-@needs_numpy
 def test_mmap_equivalence(tmp_path):
     graph = _skeleton(11, 500)
     pattern, mat = _pattern_and_matrix(graph, 12, 40)
@@ -157,7 +150,7 @@ def test_mmap_equivalence(tmp_path):
     # Facade identity on the in-memory index, all backends.
     reports = {
         name: match_prepared(pattern, prepared, mat, XI, backend=name)
-        for name in available_backends()
+        for name in BACKEND_NAMES
     }
     reference = reports["python"]
     for name, report in reports.items():
@@ -182,7 +175,6 @@ def test_mmap_equivalence(tmp_path):
 # ----------------------------------------------------------------------
 # Claim 1+3: O(1) cold start from the warm store, bit-identical
 # ----------------------------------------------------------------------
-@needs_numpy
 def test_mmap_cold_start(tmp_path, bench_json):
     graph = _skeleton(21, COLD_NODES)
     pattern, mat = _pattern_and_matrix(graph, 22, 30)
@@ -323,7 +315,6 @@ def _serve_corpus_in_child(hydration: str, config: dict) -> dict:
     return json.loads(proc.stdout)
 
 
-@needs_numpy
 def test_mmap_rss_bounded(tmp_path, bench_json):
     store_dir = tmp_path / "store"
     store = PreparedIndexStore(store_dir)
@@ -359,7 +350,7 @@ def test_mmap_rss_bounded(tmp_path, bench_json):
     assert children["decoded"]["stats"]["loads"] >= reloads
     stats = children["mapped"]["stats"]
     assert stats["prepares"] == 0, stats  # the store was warm
-    assert stats["disk_hits"] >= reloads and stats["mmap_opens"] == stats["disk_hits"]
+    assert stats["disk_hits"] >= reloads
     assert stats["solved_by"] == {"numpy": len(children["mapped"]["results"])}
     assert stats["mapped_bytes"] > 0
     # Identical answers from both children, pattern by pattern.

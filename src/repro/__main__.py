@@ -40,7 +40,7 @@ representation — results are bit-identical, only speed differs; the
 summaries record which backend served (``backend`` / ``solved_by``) so
 operators can audit a fleet.  Every backend hydrates warm-store indexes
 *zero-copy*: the store file is memory-mapped and the mask rows are
-served straight off the mapped pages (``mmap_opens`` / ``mapped_bytes``
+served straight off the mapped pages (``disk_hits`` / ``mapped_bytes``
 in the service stats; the ``numpy`` backend views them as its uint64
 blocks), so cold starts skip the payload decode and resident memory
 tracks the working set.  ``index warm --backend B`` verifies exactly

@@ -9,12 +9,7 @@ The paper's algorithm names are exported as aliases (``compMaxCard`` etc.)
 next to the PEP 8 ones.
 """
 
-from repro.core.backends import (
-    PythonIntBackend,
-    SolverBackend,
-    available_backends,
-    get_backend,
-)
+from repro.core.backends import PythonIntBackend, SolverBackend, get_backend
 from repro.core.phom import PHomResult, Violation, check_phom_mapping, validate_threshold
 from repro.core.quality import MatchQuality, match_quality, qual_card, qual_sim
 from repro.core.workspace import MatchingWorkspace
@@ -90,7 +85,6 @@ compMaxSim_1_1 = comp_max_sim_injective
 __all__ = [
     "SolverBackend",
     "PythonIntBackend",
-    "available_backends",
     "get_backend",
     "PHomResult",
     "Violation",

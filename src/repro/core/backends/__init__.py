@@ -7,7 +7,7 @@ the two implementations:
 
 ``"python"`` — :class:`~repro.core.backends.python_int.PythonIntBackend`
     the reference: big-int bitmask rows, the seed implementation's exact
-    semantics.  Always available; the default.
+    semantics.  The default.
 
 ``"numpy"`` — :class:`~repro.core.backends.mmap_block.MmapBlockBackend`
     masks as ``uint64`` block matrices with vectorized trimMatching
@@ -16,8 +16,7 @@ the two implementations:
     store hits add uint64 views over the mapped store file that every
     backend's hits open (:func:`~repro.core.store.map_payload`), so the
     kernels read the file's pages without repacking.  Bit-identical
-    results; requires numpy.  ``"mmap"`` is an alias for the same
-    backend.
+    results.  ``"mmap"`` is an alias for the same backend.
 
 Selection: pass ``backend=`` (a name or a backend instance) anywhere the
 matching stack accepts it — :func:`repro.core.api.match`,
@@ -33,11 +32,7 @@ import os
 
 from repro.core.backends.base import MatchingList, SolverBackend
 from repro.core.backends.python_int import PythonIntBackend, PythonMatchingList
-from repro.core.backends.numpy_block import (
-    BlockBackendBase,
-    NumpyMatchingList,
-    numpy_available,
-)
+from repro.core.backends.numpy_block import BlockBackendBase, NumpyMatchingList
 from repro.core.backends.mmap_block import MmapBlockBackend
 from repro.utils.errors import InputError
 
@@ -51,9 +46,7 @@ __all__ = [
     "MmapBlockBackend",
     "BACKEND_NAMES",
     "BACKEND_ENV_VAR",
-    "available_backends",
     "get_backend",
-    "numpy_available",
 ]
 
 #: Every accepted backend name, in preference/registration order.
@@ -75,22 +68,13 @@ _ALIASES = {"mmap": "numpy"}
 _instances: dict[str, SolverBackend] = {}
 
 
-def available_backends() -> tuple[str, ...]:
-    """Backend names whose dependencies are importable right now."""
-    return tuple(
-        name
-        for name in BACKEND_NAMES
-        if name not in ("numpy", "mmap") or numpy_available()
-    )
-
-
 def get_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:
     """Resolve a backend: an instance, a registry name, or the default.
 
     ``None`` consults ``REPRO_BACKEND`` and falls back to ``"python"``;
-    ``"mmap"`` resolves to the ``"numpy"`` instance.  Unknown names —
-    and known names whose dependency is missing — raise
-    :class:`~repro.utils.errors.InputError` before any expensive work.
+    ``"mmap"`` resolves to the ``"numpy"`` instance.  Unknown names
+    raise :class:`~repro.utils.errors.InputError` before any expensive
+    work.
     """
     if isinstance(spec, SolverBackend):
         return spec
@@ -108,6 +92,6 @@ def get_backend(spec: "str | SolverBackend | None" = None) -> SolverBackend:
         )
     backend = _instances.get(name)
     if backend is None:
-        backend = _FACTORIES[name]()  # may raise InputError (missing dep)
+        backend = _FACTORIES[name]()
         _instances[name] = backend
     return backend

@@ -35,9 +35,6 @@ through them raises.  Chain overlays and incremental evolution
 dirty rows materialize as private numpy rows in a :class:`_CowMatrix`
 overlay while clean rows keep aliasing the map, and the on-disk file
 stays byte-identical by construction.
-
-The module imports without numpy installed; constructing the backend
-then raises a :class:`~repro.utils.errors.InputError` naming the fix.
 """
 
 from __future__ import annotations
@@ -45,13 +42,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core.backends.numpy_block import BlockBackendBase, _NumpyRows
 from repro.core.store import MappedPayload, map_payload
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 __all__ = ["MmapBlockBackend"]
 

@@ -43,15 +43,13 @@ assert it, including the pick order inside collapsed chains — only the
 time budget moves.  The ``numpy`` backend itself
 (:class:`~repro.core.backends.mmap_block.MmapBlockBackend`) adds where
 the row matrices live: views over mapped store pages, or private packs.
-
-The module imports without numpy installed; constructing a block
-backend then raises a :class:`~repro.utils.errors.InputError` naming
-the fix.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.backends.base import MatchingList, SolverBackend
 from repro.core.backends.python_int import (
@@ -62,17 +60,10 @@ from repro.core.backends.python_int import (
     settle_entries,
     trim_entries,
 )
-from repro.utils.errors import InputError
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 __all__ = [
     "BlockBackendBase",
     "NumpyMatchingList",
-    "numpy_available",
     "SMALL_CUTOFF",
 ]
 
@@ -81,49 +72,34 @@ __all__ = [
 #: a numpy kernel launch crosses the per-row cost of a C big-int op.
 SMALL_CUTOFF = 48
 
+_U1 = np.uint64(1)
+_U6 = np.uint64(6)
+_U63 = np.uint64(63)
+#: Per-bit set / clear words, precomputed once.
+_BIT = np.array([1 << b for b in range(64)], dtype=np.uint64)
+_INV = np.array(
+    [((1 << 64) - 1) ^ (1 << b) for b in range(64)], dtype=np.uint64
+)
 
-def numpy_available() -> bool:
-    """True iff numpy is importable (the ``numpy`` backend is constructible)."""
-    return np is not None
+if hasattr(np, "bitwise_count"):
 
+    def _popcount_rows(matrix):
+        """Per-row popcounts of a ``(k, W)`` uint64 matrix."""
+        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
 
-if np is not None:
-    _U1 = np.uint64(1)
-    _U6 = np.uint64(6)
-    _U63 = np.uint64(63)
-    #: Per-bit set / clear words, precomputed once.
-    _BIT = np.array([1 << b for b in range(64)], dtype=np.uint64)
-    _INV = np.array(
-        [((1 << 64) - 1) ^ (1 << b) for b in range(64)], dtype=np.uint64
-    )
+else:  # pragma: no cover - NumPy < 2.0 fallback
 
-    if hasattr(np, "bitwise_count"):
+    _M1 = np.uint64(0x5555555555555555)
+    _M2 = np.uint64(0x3333333333333333)
+    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    _H01 = np.uint64(0x0101010101010101)
 
-        def _popcount_rows(matrix):
-            """Per-row popcounts of a ``(k, W)`` uint64 matrix."""
-            return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
-
-    else:  # pragma: no cover - NumPy < 2.0 fallback
-
-        _M1 = np.uint64(0x5555555555555555)
-        _M2 = np.uint64(0x3333333333333333)
-        _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-        _H01 = np.uint64(0x0101010101010101)
-
-        def _popcount_rows(matrix):
-            """SWAR popcount (Hacker's Delight 5-2), vectorized per word."""
-            x = matrix - ((matrix >> _U1) & _M1)
-            x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-            x = (x + (x >> np.uint64(4))) & _M4
-            return ((x * _H01) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
-
-
-def _require_numpy(name: str = "numpy") -> None:
-    if np is None:
-        raise InputError(
-            f"the {name!r} solver backend needs numpy installed; "
-            "pip install numpy, or select REPRO_BACKEND=python"
-        )
+    def _popcount_rows(matrix):
+        """SWAR popcount (Hacker's Delight 5-2), vectorized per word."""
+        x = matrix - ((matrix >> _U1) & _M1)
+        x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+        x = (x + (x >> np.uint64(4))) & _M4
+        return ((x * _H01) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
 
 
 class _NumpyRows:
@@ -377,9 +353,6 @@ class BlockBackendBase(SolverBackend):
     Either way the kernels — and therefore the answers — are
     byte-for-byte the same code.
     """
-
-    def __init__(self) -> None:
-        _require_numpy(self.name or "numpy")
 
     @staticmethod
     def _words_for(num_bits: int) -> int:

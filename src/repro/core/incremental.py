@@ -161,6 +161,11 @@ class DeltaLog:
     which cache attached the log, so several services can track one
     graph without stealing each other's history.
 
+    A log built without a ``graph`` observes nothing: it is data a
+    caller hands to a cache's ``prepared_for(..., delta=)`` — a shard
+    plan's per-shard delta (router events replayed, or
+    :meth:`from_diff`) — and the cache reads it without modifying it.
+
     The observed graph is held weakly (:attr:`graph` reads a weakref).
     The graph holds its logs strongly in ``_delta_logs``, so a strong
     back reference would make every observed graph part of a reference
@@ -331,25 +336,22 @@ class DeltaLog:
         cls,
         old_graph: DiGraph,
         new_graph: DiGraph,
-        graph: DiGraph | None = None,
         base_fingerprint: str | None = None,
-        owner: object = None,
     ) -> "DeltaLog":
-        """A log describing ``old_graph -> new_graph`` by structural diff.
+        """An unattached log describing ``old_graph -> new_graph`` by
+        structural diff.
 
-        For offline evolution no mutation history exists — the CLI holds
-        two JSON snapshots — so the delta is synthesized: removed edges
-        between survivors, removed nodes (with their old neighborhoods),
-        added nodes, added edges, and label/weight updates, in an order
-        a sequential replay accepts.  By default the log is unattached
-        (recording more events onto it is the caller's business);
-        ``graph``/``base_fingerprint``/``owner`` pass through to the
-        constructor for callers that want the diff *tracked* — the
-        sharded router scopes a shard-level diff this way, when it has
-        no slice of its own log for the shard, so the shard's worker
-        cache evolves its resident index instead of cold-preparing.
+        Where no mutation history exists the delta is synthesized:
+        removed edges between survivors, removed nodes (with their old
+        neighborhoods), added nodes, added edges, and label/weight
+        updates, in an order a sequential replay accepts.  The CLI's
+        offline evolution diffs two JSON snapshots this way, and a shard
+        plan diffs a shard's base view against its current view when it
+        kept no router events for the shard
+        (:meth:`~repro.core.sharding.ShardPlan.shard_delta`);
+        ``base_fingerprint`` names the index the log evolves.
         """
-        log = cls(graph, base_fingerprint=base_fingerprint, owner=owner, max_events=max(
+        log = cls(base_fingerprint=base_fingerprint, max_events=max(
             MAX_EVENTS,
             2 * (old_graph.num_edges() + new_graph.num_edges())
             + 2 * (old_graph.num_nodes() + new_graph.num_nodes())

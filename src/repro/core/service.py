@@ -169,11 +169,9 @@ class ServiceStats:
     disk_hits: int = 0
     #: Disk-store lookups that found no usable file (two-tier cache only).
     disk_misses: int = 0
-    #: Disk hits served by *mapping* the store file in place — every
-    #: disk hit, under every backend (also counted in ``disk_hits``).
-    mmap_opens: int = 0
-    #: Payload bytes those mapped opens cover — what the OS may page in,
-    #: not what was read; operators budget page cache against it.
+    #: Payload bytes the disk hits mapped — every disk hit maps the store
+    #: file in place, under every backend.  It is what the OS may page
+    #: in, not what was read; operators budget page cache against it.
     mapped_bytes: int = 0
     #: Cache misses served by *evolving* a tracked base index through a
     #: recorded :class:`~repro.core.incremental.DeltaLog` instead of a
@@ -191,9 +189,10 @@ class ServiceStats:
     #: Write bytes those delta records avoided versus the full payload
     #: each would otherwise have rewritten — the chain's I/O savings.
     chain_bytes_saved: int = 0
-    #: Sharded requests where a changed shard's worker *evolved* its
-    #: resident index through a router-scoped delta instead of
-    #: cold-preparing the shard (also counted in ``delta_hits``).
+    #: Delta-tier lookups that evolved a resident index through a delta
+    #: the caller handed in — the sharded router passes each changed
+    #: shard's worker its own — instead of cold-preparing the shard
+    #: (also counted in ``delta_hits``).
     shard_evolves: int = 0
     #: Seconds spent building prepared indexes (the amortised cost).
     prepare_seconds: float = 0.0
@@ -290,16 +289,16 @@ class PreparedGraphCache:
 
     Mutation no longer means a cold rebuild, though: the cache attaches
     a :class:`~repro.core.incremental.DeltaLog` to every graph it
-    prepares, and a miss whose graph object carries a log with a
-    still-resident base entry is served by **evolving** that base
-    through the recorded delta
+    prepares, and a miss whose graph object carries a log (or whose
+    caller hands one in) with a still-resident base entry is served by
+    **evolving** that base through the recorded delta
     (:meth:`~repro.core.prepared.PreparedDataGraph.apply_delta` —
     bit-identical to a cold prepare, counted in ``delta_hits`` /
     ``delta_nodes_recomputed``).
 
     ``store`` attaches a :class:`~repro.core.store.PreparedIndexStore`
     as a second tier below the LRU: a memory miss first tries a mapped
-    open of the stored file (counted in ``disk_hits`` / ``mmap_opens``
+    open of the stored file (counted in ``disk_hits`` / ``mapped_bytes``
     / ``load_seconds``), and only a double miss builds — after which the
     fresh index is persisted best-effort (``store_seconds``; persistence
     failures are swallowed, the serving path never fails because a disk
@@ -362,19 +361,29 @@ class PreparedGraphCache:
             self._generation += 1
 
     def prepared_for(
-        self, graph2: DiGraph, fingerprint: str | None = None
+        self,
+        graph2: DiGraph,
+        fingerprint: str | None = None,
+        delta: DeltaLog | None = None,
     ) -> PreparedDataGraph:
         """The cached prepared index of ``graph2``.
 
-        Tier order on a miss: disk store (when attached), then a fresh
-        build (persisted back to the store, best-effort).  ``fingerprint``
-        skips the digest computation for callers that already know it
-        (the sharded router caches shard-graph fingerprints in its plan);
-        it must be ``graph_fingerprint(graph2)`` — a wrong hint would
-        serve another graph's index.
+        Tier order on a miss: delta, disk store (when attached), then a
+        fresh build (persisted back to the store, best-effort).
+        ``fingerprint`` skips the digest computation for callers that
+        already know it (the sharded router caches shard-graph
+        fingerprints in its plan); it must be ``graph_fingerprint(graph2)``
+        — a wrong hint would serve another graph's index.
+
+        ``delta`` hands in the mutations from a resident index to
+        ``graph2``'s content (the sharded router passes each changed
+        shard its :meth:`~repro.core.sharding.ShardPlan.shard_delta`);
+        the cache reads it and never modifies it, and an evolution
+        through it also counts in ``shard_evolves``.  Without one, the
+        delta tier uses the log this cache attached to ``graph2``.
         """
         key = graph_fingerprint(graph2) if fingerprint is None else fingerprint
-        log = DeltaLog.find(graph2, self)
+        log = DeltaLog.find(graph2, self) if delta is None else delta
         # Lock order: the cache lock (LRU structure) is always taken
         # before the stats lock, never the other way around.
         with self._lock:
@@ -408,7 +417,7 @@ class PreparedGraphCache:
                 self.stats.cache_hits += 1
             return prepared
         try:
-            prepared = self._load_or_build(key, graph2, log=log, base=base)
+            prepared = self._load_or_build(key, graph2, log, base, delta is not None)
         except BaseException as exc:
             with self._lock:
                 del self._building[key]
@@ -430,35 +439,36 @@ class PreparedGraphCache:
         self,
         key: str,
         graph2: DiGraph,
-        log: DeltaLog | None = None,
-        base: PreparedDataGraph | None = None,
+        log: DeltaLog | None,
+        base: PreparedDataGraph | None,
+        supplied: bool,
     ) -> PreparedDataGraph:
         """Delta tier, mapped tier, then build tier — off-lock.
 
         Tier order on a memory miss: **evolve** a still-resident base
-        index through the graph's recorded delta (the cheapest path — it
-        recomputes only the rows the mutations touched), then a
-        **zero-copy mapped open** of the store file (every backend — no
-        payload decode, counted in ``disk_hits``, ``mmap_opens`` and
-        ``mapped_bytes``), then a cold build.  Evolved and built indexes
-        are both persisted best-effort, so the store always holds the
-        graph's *current* fingerprint.
+        index through the delta (the cheapest path — it recomputes only
+        the rows the mutations touched; ``supplied`` says the caller
+        handed the delta in), then a **zero-copy mapped open** of the
+        store file (every backend — no payload decode, counted in
+        ``disk_hits`` and ``mapped_bytes``), then a cold build.  Evolved
+        and built indexes are both persisted best-effort, so the store
+        always holds the graph's *current* fingerprint.  Whatever served,
+        this cache's log on ``graph2`` then restarts from ``key``.
         """
-        if base is not None and log is not None:
-            evolved = self._evolve(key, graph2, log, base)
-            if evolved is not None:
-                return evolved
-        if self.store is not None:
-            mapped = self._open_mapped(key, graph2)
-            if mapped is not None:
-                return mapped
+        prepared = None
+        if base is not None:
+            prepared = self._evolve(key, graph2, log, base, supplied)
+        if prepared is None and self.store is not None:
+            prepared = self._open_mapped(key, graph2)
+            if prepared is None:
+                with self.stats.lock:
+                    self.stats.disk_misses += 1
+        if prepared is None:
+            prepared = PreparedDataGraph(graph2, fingerprint=key)
             with self.stats.lock:
-                self.stats.disk_misses += 1
-        prepared = PreparedDataGraph(graph2, fingerprint=key)
-        with self.stats.lock:
-            self.stats.prepares += 1
-            self.stats.prepare_seconds += prepared.prepare_seconds
-        self._persist(prepared)
+                self.stats.prepares += 1
+                self.stats.prepare_seconds += prepared.prepare_seconds
+            self._persist(prepared)
         self._track(graph2, key)
         return prepared
 
@@ -492,14 +502,17 @@ class PreparedGraphCache:
                 return None  # unmappable or stale file: build tier is next
         with self.stats.lock:
             self.stats.disk_hits += 1
-            self.stats.mmap_opens += 1
             self.stats.mapped_bytes += region.payload_length
             self.stats.load_seconds += watch.elapsed
-        self._track(graph2, key)
         return prepared
 
     def _evolve(
-        self, key: str, graph2: DiGraph, log: DeltaLog, base: PreparedDataGraph
+        self,
+        key: str,
+        graph2: DiGraph,
+        log: DeltaLog,
+        base: PreparedDataGraph,
+        supplied: bool,
     ) -> PreparedDataGraph | None:
         """Evolve ``base`` through ``log``; ``None`` defers to disk/build."""
         try:
@@ -517,10 +530,11 @@ class PreparedGraphCache:
         else:
             with self.stats.lock:
                 self.stats.delta_hits += 1
+                if supplied:
+                    self.stats.shard_evolves += 1
                 self.stats.delta_nodes_recomputed += stats.get("recomputed_nodes", 0)
                 self.stats.delta_seconds += watch.elapsed
         self._persist(evolved, base=base)
-        log.rebase(key)
         return evolved
 
     def _persist(

@@ -156,14 +156,17 @@ class ShardPlan:
         self._label_members: dict[int, dict] = {}
         #: Filled by :meth:`evolve`: what the re-plan kept and moved.
         self.evolve_stats: dict | None = None
-        #: Filled by :meth:`evolve`: shard id → (old shard graph, old
-        #: shard fingerprint, edge events or ``None``) for shards whose
-        #: content *changed* but whose predecessor view was cached — the
-        #: router scopes a shard-level delta from these so each changed
-        #: shard's worker evolves its resident index instead of
-        #: cold-preparing.  The events are the router log's slice for a
-        #: shard whose node list did not move; ``None`` asks for a diff.
+        #: Filled by :meth:`evolve`, fixed once it returns: shard id →
+        #: (base view, base fingerprint, edge events or ``None``) for
+        #: shards whose worker has not yet seen this plan's content — the
+        #: base is the last view a plan built for the shard, so its
+        #: worker holds that index.  :meth:`shard_delta` turns a base
+        #: into the delta the worker evolves through.  The events are the
+        #: router log's slices since the base, while the shard's node
+        #: list did not move; ``None`` asks for a diff.
         self._evolve_bases: dict[int, tuple[DiGraph, str, list | None]] = {}
+        #: Per-shard deltas built lazily from ``_evolve_bases``.
+        self._deltas: dict[int, DeltaLog] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -281,10 +284,17 @@ class ShardPlan:
         but its *placement* may differ from ``for_data_graph`` of the
         same graph: stability is the point (moving a component cold-
         starts its worker), so evolved placement is history-dependent.
-        ``evolve_stats`` records what moved.  For a changed shard whose
-        node list did not move, the log's edge events inside it are kept
-        as that shard's delta (see
-        :meth:`ShardedMatchingService._scope_shard_delta`).
+        ``evolve_stats`` records what moved.
+
+        A changed shard gets an evolution base (:meth:`shard_delta`):
+        this plan's view of it when this plan built one — a request
+        reached the shard, so its worker holds that index — else this
+        plan's own base, carried forward, so two writes before any match
+        still evolve the index the worker holds.  A base keeps the log's
+        edge events inside the shard (concatenated across carried
+        steps) while its node list does not move; otherwise the delta is
+        a diff from the base view.  An unchanged shard keeps a base this
+        plan carried but never built a view for.
         """
         self._require_graph()
         if (
@@ -398,7 +408,7 @@ class ShardPlan:
         # A changed shard whose node list did not move gets its slice of
         # the log: the edge events with both endpoints inside it replay
         # the shard's own change.  Node churn, relabels or an overflowed
-        # log leave the diff to the router.
+        # log leave a diff to shard_delta.
         slices: dict[int, list] | None = None
         if same_nodes and not delta.relabeled and not delta.overflowed:
             slices = {}
@@ -421,20 +431,34 @@ class ShardPlan:
                     plan._label_sigs[sid] = self._label_sigs[sid]
                 if sid in self._label_members:
                     plan._label_members[sid] = self._label_members[sid]
-            # Changed shards whose *old* view is still cached become
-            # delta-evolution bases for their workers' resident indexes.
+            # Evolution bases: a built view is one a request reached, so
+            # its worker holds that index; otherwise this plan's base,
+            # which no request used, still names the index it holds.
             for sid in range(self.shards):
-                if sid in reused_set or not plan.shard_nodes[sid]:
+                if not plan.shard_nodes[sid]:
                     continue
                 old_graph = self._graphs.get(sid)
                 old_fingerprint = self._fingerprints.get(sid)
-                if old_graph is not None and old_fingerprint is not None:
-                    events = (
-                        slices.get(sid, [])
-                        if slices is not None and sid in unmoved
-                        else None
-                    )
+                built = old_graph is not None and old_fingerprint is not None
+                pending = None if built else self._evolve_bases.get(sid)
+                if sid in reused_set:
+                    if pending is not None:
+                        plan._evolve_bases[sid] = pending
+                    continue
+                events = (
+                    slices.get(sid, [])
+                    if slices is not None and sid in unmoved
+                    else None
+                )
+                if built:
                     plan._evolve_bases[sid] = (old_graph, old_fingerprint, events)
+                elif pending is not None:
+                    base_graph, base_fingerprint, base_events = pending
+                    if base_events is None or events is None:
+                        events = None
+                    else:
+                        events = base_events + events
+                    plan._evolve_bases[sid] = (base_graph, base_fingerprint, events)
         plan.evolve_stats = {
             "stable_components": len(components) - len(repooled),
             "replanned_components": len(repooled),
@@ -508,6 +532,38 @@ class ShardPlan:
             )
             with self._lock:
                 cached = self._graphs.setdefault(shard_id, built)
+        return cached
+
+    def shard_delta(self, shard_id: int) -> DeltaLog | None:
+        """The delta from shard ``shard_id``'s evolution base to its view.
+
+        ``None`` unless :meth:`evolve` gave the shard a base.  The log
+        replays the base's router events when it kept them and diffs the
+        base view against this plan's view otherwise; it is unattached,
+        its ``base_fingerprint`` names the index the shard's worker
+        holds, and it is built at most once per plan and shard — off the
+        plan lock, like the views.  The router hands it to the worker's
+        :meth:`~repro.core.service.PreparedGraphCache.prepared_for`,
+        which evolves that index through it instead of cold-preparing.
+        """
+        base = self._evolve_bases.get(shard_id)
+        if base is None:
+            return None
+        with self._lock:
+            cached = self._deltas.get(shard_id)
+        if cached is None:
+            base_graph, base_fingerprint, events = base
+            if events is None:
+                built = DeltaLog.from_diff(
+                    base_graph, self.shard_graph(shard_id),
+                    base_fingerprint=base_fingerprint,
+                )
+            else:
+                built = DeltaLog(base_fingerprint=base_fingerprint)
+                for event in events:
+                    built.record(*event)
+            with self._lock:
+                cached = self._deltas.setdefault(shard_id, built)
         return cached
 
     def shard_label_signature(self, shard_id: int) -> int:
@@ -644,7 +700,7 @@ class ShardedMatchingService:
     zero-copy mapped open, and the store interns mappings process-wide
     by file identity, so every worker (and the spill worker) serving one
     fingerprint shares a single mapping — one OS page cache per prepared
-    graph, no matter how many shards solve over it (``mmap_opens`` /
+    graph, no matter how many shards solve over it (``disk_hits`` /
     ``mapped_bytes`` aggregate across workers in :meth:`stats_snapshot`).
 
     Request surface:
@@ -794,8 +850,10 @@ class ShardedMatchingService:
         plans: when the same graph object mutates in place, the next
         request **evolves** the old plan (:meth:`ShardPlan.evolve`) —
         components the delta never touched keep their shard, cached
-        subgraph and fingerprint, so only the changed shards' workers go
-        cold (counted in ``plans_evolved`` / ``shards_replanned``).
+        subgraph and fingerprint, so only the changed shards' workers
+        need new indexes, evolved from each shard's
+        :meth:`ShardPlan.shard_delta` where they can be (counted in
+        ``plans_evolved`` / ``shards_replanned``).
         """
         key = graph_fingerprint(graph2)
         log = DeltaLog.find(graph2, self)
@@ -994,60 +1052,6 @@ class ShardedMatchingService:
         _observe(self.latency_hook, "batch", perf_counter() - started, self._charge_hook)
         return reports
 
-    def _scope_shard_delta(
-        self,
-        plan: ShardPlan,
-        shard_id: int,
-        shard_graph: DiGraph,
-        shard_fingerprint: str,
-        service: MatchingService,
-    ) -> "DeltaLog | None":
-        """Scope the plan's mutation onto one changed shard as a delta.
-
-        An evolved plan records the previous (graph, fingerprint) view
-        of every shard whose content changed (``ShardPlan.evolve``),
-        plus, when the shard's node list did not move, its slice of the
-        router's log: the edge events with both endpoints in the shard.
-        The slice is replayed into a
-        :class:`~repro.core.incremental.DeltaLog` on the new shard graph,
-        owned by the shard worker's cache, so the worker's next
-        ``prepared_for`` **evolves** its resident base index through it
-        (``delta_hits`` on the worker, ``shard_evolves`` once the
-        evolution lands) instead of cold-preparing the whole shard.
-        Without a slice — node churn, a relabel or an overflowed router
-        log, or a shard whose node list changed — the router diffs old
-        vs new shard subgraph instead (``DeltaLog.from_diff``).
-        Returns the log — fresh, or the one a previous request already
-        attached — or ``None`` when there is nothing to scope; every
-        refusal path simply leaves the ordinary tiers in charge.
-        """
-        with plan._lock:
-            base = plan._evolve_bases.get(shard_id)
-        if base is None:
-            return None
-        base_graph, base_fingerprint, events = base
-        if base_fingerprint == shard_fingerprint:
-            return None  # content did not actually move for this shard
-        cache = service.cache
-        existing = DeltaLog.find(shard_graph, cache)
-        if existing is not None:
-            return existing
-        if events is not None:
-            log = DeltaLog(shard_graph, base_fingerprint=base_fingerprint, owner=cache)
-            for event in events:
-                log.record(*event)
-            return log
-        try:
-            return DeltaLog.from_diff(
-                base_graph,
-                shard_graph,
-                graph=shard_graph,
-                base_fingerprint=base_fingerprint,
-                owner=cache,
-            )
-        except InputError:
-            return None
-
     # ------------------------------------------------------------------
     def _solve_components(
         self,
@@ -1147,41 +1151,20 @@ class ShardedMatchingService:
         def workspace_for(key: frozenset[int]) -> tuple[MatchingWorkspace, MatchingService]:
             entry = workspaces.get(key)
             if entry is None:
-                scoped = None
                 if len(key) == 1:
                     (shard_id,) = key
                     service = self.workers[shard_id]
                     shard_graph = plan.shard_graph(shard_id)
                     shard_fingerprint = plan.fingerprint_for(shard_id)
-                    scoped = self._scope_shard_delta(
-                        plan, shard_id, shard_graph, shard_fingerprint, service
-                    )
+                    delta = plan.shard_delta(shard_id)
                 else:
                     service = self.spill
                     shard_graph = plan.union_graph(key)
                     shard_fingerprint = plan.fingerprint_for(key)
-                scoped_pending = (
-                    scoped is not None
-                    and scoped.base_fingerprint is not None
-                    and scoped.base_fingerprint != shard_fingerprint
+                    delta = None
+                prepared = service.cache.prepared_for(
+                    shard_graph, fingerprint=shard_fingerprint, delta=delta
                 )
-                prepared = service.prepared_for(
-                    shard_graph, fingerprint=shard_fingerprint
-                )
-                if (
-                    scoped_pending
-                    # A consumed delta rebases the log onto the new
-                    # fingerprint; full rebuilds inside apply_delta are
-                    # honest cold prepares, not shard evolutions.
-                    and scoped.base_fingerprint == shard_fingerprint
-                    and prepared.delta_stats is not None
-                    and not prepared.delta_stats.get("full_rebuild")
-                ):
-                    with plan._lock:
-                        fired = plan._evolve_bases.pop(shard_id, None)
-                    if fired is not None:  # count once per plan and shard
-                        with service.stats.lock:
-                            service.stats.shard_evolves += 1
                 if prefilter != "off":
                     # Route-scoped rows: a workspace only ever solves
                     # the components routed to its key, and the engine

@@ -142,7 +142,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     interesting = (
         "calls", "prepares", "disk_hits", "delta_hits", "shard_evolves",
-        "mmap_opens", "pairs_pruned", "hook_calls",
+        "pairs_pruned", "hook_calls",
     )
     print(
         "counters: "

@@ -6,7 +6,7 @@ Three layers of defense around the delta-evolution machinery:
   node insertions and removals, SCC merges and splits, cycle creation
   and destruction, label/weight churn) asserting after *every* step that
   ``apply_delta`` is bit-identical to a cold ``PreparedDataGraph`` —
-  masks, node order, payload bytes — under every available backend and
+  masks, node order, payload bytes — under every backend and
   through the store round-trip.  Well over 200 randomized steps run
   across the parameter grid.
 * **Mutator-invalidation audit**: every ``DiGraph`` mutator must both
@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.core.backends import available_backends, get_backend
+from repro.core.backends import BACKEND_NAMES, get_backend
 from repro.core.incremental import (
     ADDITIVE_MAX_EVENTS,
     DeltaEvent,
@@ -195,7 +195,7 @@ class TestDeltaEquivalenceFuzz:
         prepared = PreparedDataGraph(graph)
         log = DeltaLog(graph, base_fingerprint=prepared.fingerprint)
         mutator = Mutator(rng, fresh_base=1000 * seed)
-        backends = [get_backend(name) for name in available_backends()]
+        backends = [get_backend(name) for name in BACKEND_NAMES]
         for step in range(45):
             tag = mutator.apply(graph)
             evolved = prepared.apply_delta(log, cutoff=cutoff)
@@ -260,7 +260,7 @@ class TestDeltaEquivalenceFuzz:
         prepared = PreparedDataGraph(graph)
         log = DeltaLog(graph, base_fingerprint=prepared.fingerprint)
         mutator = Mutator(rng, fresh_base=2000 * seed, ops=REMOVAL_OPS)
-        backends = [get_backend(name) for name in available_backends()]
+        backends = [get_backend(name) for name in BACKEND_NAMES]
         strategies = set()
         for step in range(30):
             tag = mutator.apply(graph)
@@ -298,7 +298,7 @@ class TestDeltaEquivalenceFuzz:
         prepared = PreparedDataGraph(graph)
         log = DeltaLog(graph, base_fingerprint=prepared.fingerprint)
         mutator = Mutator(rng, fresh_base=3000 * seed, ops=INTERLEAVED_OPS)
-        backends = [get_backend(name) for name in available_backends()]
+        backends = [get_backend(name) for name in BACKEND_NAMES]
         for step in range(30):
             tag = mutator.apply(graph)
             evolved = prepared.apply_delta(log, cutoff=cutoff)

@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 import repro.core.sharding as sharding
 from helpers import make_random_instance
 from repro.core.api import match
-from repro.core.backends import available_backends
+from repro.core.backends import BACKEND_NAMES
 from repro.core.incremental import DeltaLog
 from repro.core.optimize import comp_max_card_partitioned
+from repro.core.phom import check_phom_mapping
 from repro.core.prefilter import LabelEqualitySimilarity, label_signature
 from repro.core.prepared import PreparedDataGraph
 from repro.core.service import MatchingService
@@ -39,8 +40,6 @@ from repro.graph.scc import strongly_connected_components
 from repro.similarity.labels import label_equality_matrix
 from repro.similarity.matrix import SimilarityMatrix
 from repro.utils.errors import InputError
-
-BACKENDS = available_backends()
 
 
 def corpus_graph(
@@ -205,7 +204,7 @@ class TestShardPlan:
 # ----------------------------------------------------------------------
 # Bit-identity of the sharded solve
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 class TestShardedEquivalence:
     XI = 0.5
 
@@ -366,7 +365,6 @@ class TestShardedService:
         assert snap["prepares"] == 0
         assert snap["disk_hits"] > 0
 
-    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy backend unavailable")
     def test_per_shard_backends_audited_and_identical(self):
         graph2 = corpus_graph(sites=2, site_nodes=25, shared_labels=False)
         graph1 = random_pattern(graph2, 10, 6)
@@ -770,8 +768,10 @@ class DiffSpy:
 def mutation_runs(draw):
     """A multi-component graph, a shard count and mutation steps.
 
-    Each step is one or two raw ops; indices are resolved against the
-    graph as it is when the op runs, so every op is applicable.
+    Each step is one or two raw ops — indices are resolved against the
+    graph as it is when the op runs, so every op is applicable — and
+    whether requests reach the shards after it.  The last step always
+    serves, so bases carried over unserved steps are served too.
     """
     sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
     edges = draw(
@@ -786,7 +786,14 @@ def mutation_runs(draw):
         st.integers(0, 99),
         st.integers(0, 99),
     )
-    steps = draw(st.lists(st.lists(op, min_size=1, max_size=2), min_size=1, max_size=6))
+    steps = draw(
+        st.lists(
+            st.tuples(st.lists(op, min_size=1, max_size=2), st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    steps[-1] = (steps[-1][0], True)
     return sizes, edges, shards, steps
 
 
@@ -845,9 +852,11 @@ def apply_op(graph, op, next_id, removed_ids):
 
 class TestLocalPlanEvolution:
     """``ShardPlan.evolve`` re-plans only the components a delta hit,
-    and the router hands each changed shard's worker its slice of the
-    log.  The results must be exactly those of the whole-graph re-plan,
-    and every served index exactly a cold prepare."""
+    and the router hands each changed shard's worker its delta — the
+    slice of its log, or a diff — from the index the worker holds.  The
+    results must be exactly those of the whole-graph re-plan, every
+    answer a valid p-hom mapping, and every served index exactly a cold
+    prepare."""
 
     XI = 0.5
 
@@ -866,8 +875,8 @@ class TestLocalPlanEvolution:
         plans[plan.fingerprint] = plan
         warm_every_shard(router, plan)
         next_id, removed_ids = 1000, []
-        for step in steps:
-            for op in step:
+        for ops, serve in steps:
+            for op in ops:
                 next_id = apply_op(graph, op, next_id, removed_ids)
             log = DeltaLog.find(graph, router)
             base = plans[log.base_fingerprint]
@@ -900,19 +909,28 @@ class TestLocalPlanEvolution:
                 for node in nodes:
                     members.setdefault(graph.label(node), []).append(node)
                 assert plan.shard_label_members(sid) == members
+            if not serve:
+                # No request reaches a shard: the next plan carries each
+                # changed shard's base forward.
+                continue
 
             report = router.match_sharded(pattern, graph, source, self.XI)
-            reference = comp_max_card_partitioned(
-                pattern, graph, source(pattern, graph), self.XI
-            )
+            mat = source(pattern, graph)
+            reference = comp_max_card_partitioned(pattern, graph, mat, self.XI)
             assert_reports_identical(report, reference)
+            assert check_phom_mapping(
+                pattern, graph, report.result.mapping, mat, self.XI
+            ) == []
             # Whatever tier served each shard (slice, diff, build), its
             # index is a cold prepare's; preparing the shards the match
-            # did not touch also caches their views for the next step.
+            # did not touch, through their deltas as the router does,
+            # also caches their views for the next step.
             for sid in plan.nonempty_shards():
                 shard_graph = plan.shard_graph(sid)
-                prepared = router.workers[sid].prepared_for(
-                    shard_graph, fingerprint=plan.fingerprint_for(sid)
+                prepared = router.workers[sid].cache.prepared_for(
+                    shard_graph,
+                    fingerprint=plan.fingerprint_for(sid),
+                    delta=plan.shard_delta(sid),
                 )
                 assert_cold_identical(prepared, shard_graph)
 
@@ -979,6 +997,54 @@ class TestLocalPlanEvolution:
         aggregate = router.stats_snapshot()["aggregate"]
         assert aggregate["shard_evolves"] == len(edits)
         assert aggregate["prepares"] == warm_prepares  # no cold shard prepare
+
+    @pytest.mark.parametrize(
+        "second, slices",
+        [((80, 86), 2), ((60, 66), 1)],
+        ids=["same-shard", "other-shard"],
+    )
+    def test_two_writes_before_a_match_evolve_the_held_index(
+        self, monkeypatch, second, slices
+    ):
+        """Two writes, each followed by ``update_graph``, then a match on
+        the first write's shard: the middle plan never built that
+        shard's view, so the last plan carries its base forward — both
+        slices concatenated when the second write hit the same shard,
+        the base kept as it was when the shard did not change again —
+        and the worker evolves the index it holds."""
+        graph = halves_corpus(sites=6, size=20)
+        pattern = half_patterns(graph, sites=6, size=20)[4]  # site 2
+        source = LabelEqualitySimilarity()
+        router = ShardedMatchingService(2)
+        plan = router.plan_for(graph)
+        warm_every_shard(router, plan)
+        owner = plan.shard_of[40]
+        # Sites 2 and 4 share a shard; site 3 lives on the other one.
+        assert (plan.shard_of[second[0]] == owner) == (slices == 2)
+        before = router.stats_snapshot()["aggregate"]
+        diffs = DiffSpy(monkeypatch)
+
+        graph.add_edge(40, 46)
+        router.update_graph(graph)
+        graph.add_edge(*second)
+        plan = router.update_graph(graph)
+        report = router.match_sharded(pattern, graph, source, self.XI)
+        reference = comp_max_card_partitioned(
+            pattern, graph, source(pattern, graph), self.XI
+        )
+        assert_reports_identical(report, reference)
+        after = router.stats_snapshot()["aggregate"]
+        assert after["shard_evolves"] == before["shard_evolves"] + 1
+        assert after["delta_hits"] == before["delta_hits"] + 1
+        assert after["prepares"] == before["prepares"]
+        assert diffs.calls == 0
+        assert len(plan.shard_delta(owner).events) == slices
+        assert_cold_identical(
+            router.workers[owner].prepared_for(
+                plan.shard_graph(owner), fingerprint=plan.fingerprint_for(owner)
+            ),
+            plan.shard_graph(owner),
+        )
 
     def test_label_views_carry_over_unless_relabeled(self):
         graph = halves_corpus(sites=4, size=20)

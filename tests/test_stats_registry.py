@@ -19,11 +19,8 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import all_rules, run_analysis
 from repro.core.aio import AsyncMatchingService
-from repro.core.backends import available_backends
 from repro.core.service import MatchingService, ServiceStats
 from repro.core.sharding import ShardedMatchingService
 from repro.graph.digraph import DiGraph
@@ -40,7 +37,6 @@ SERVICE_KEYS = [
     "evictions",
     "disk_hits",
     "disk_misses",
-    "mmap_opens",
     "mapped_bytes",
     "delta_hits",
     "delta_nodes_recomputed",
@@ -101,9 +97,6 @@ class TestSnapshotKeys:
         assert [list(s) for s in snap["per_shard"]] == [SERVICE_KEYS] * 2
         assert list(snap["spill"]) == SERVICE_KEYS
 
-    @pytest.mark.skipif(
-        "numpy" not in available_backends(), reason="numpy backend unavailable"
-    )
     def test_aggregate_sums_counters_and_merges_solved_by(self):
         corpus, patterns = _two_sites()
         router = ShardedMatchingService(2, backends=["python", "numpy"])

@@ -10,9 +10,11 @@ the two implementations:
     semantics.  The default.
 
 ``"numpy"`` — :class:`~repro.core.backends.mmap_block.MmapBlockBackend`
-    masks as ``uint64`` block matrices with vectorized trimMatching
+    wide lists as ``uint64`` block matrices with vectorized trimMatching
     row-ANDs and ``bitwise_count``/SWAR popcounts
-    (:class:`~repro.core.backends.numpy_block.BlockBackendBase`).  Its
+    (:class:`~repro.core.backends.numpy_block.BlockMatchingList`); small
+    lists are the reference's lists plus a single-row closed form
+    (:class:`~repro.core.backends.numpy_block.NumpyMatchingList`).  Its
     store hits add uint64 views over the mapped store file that every
     backend's hits open (:func:`~repro.core.store.map_payload`), so the
     kernels read the file's pages without repacking.  Bit-identical

@@ -114,11 +114,6 @@ class MatchingList(ABC):
         """Lines 5–9: ``(H⁺, H⁻)`` — nodes with nonempty good masks and
         nodes with nonempty minus masks (fresh minus lists both)."""
 
-    @abstractmethod
-    def to_masks(self) -> dict[int, tuple[int, int]]:
-        """Backend-neutral snapshot ``{v: (good_int, minus_int)}`` — for
-        tests and cross-backend equivalence checks, not the hot path."""
-
 
 class SolverBackend(ABC):
     """Factory for backend-native closure rows, contexts, and lists.

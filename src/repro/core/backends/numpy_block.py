@@ -4,11 +4,12 @@ Profiling the reference backend shows the greedy recursion's frames are
 bimodal: a short *spine* of wide matching lists (the ``H⁺`` chain of the
 top-level list — tens to hundreds of rows) and a long tail of tiny
 ``H⁻`` lists, 80 %+ of them single-row chains that burn one full frame
-per candidate bit.  This backend attacks both ends, adaptively:
+per candidate bit.  This backend attacks both ends with two list
+classes, chosen by row count:
 
-**Dense mode** (row count > ``SMALL_CUTOFF``) — the matching list is
-``keys`` (present pattern indices, ascending) plus ``good`` / ``minus``
-as ``(k, W)`` ``uint64`` matrices, word ``w`` of a row holding data-node
+:class:`BlockMatchingList` (more than ``SMALL_CUTOFF`` rows) — ``keys``
+(present pattern indices, ascending) plus ``good`` / ``minus`` as
+``(k, W)`` ``uint64`` matrices, word ``w`` of a row holding data-node
 bits ``64·w … 64·w+63`` (little-endian, matching ``int.to_bytes``).
 Every loop the reference runs row-by-row through a Python dict becomes
 one whole-matrix kernel: line 2's "largest good list" is a
@@ -18,13 +19,14 @@ fancy-indexed row-AND for all surviving parents (children) at once; the
 1-1 capacity sweep is a single column test; the ``H⁺``/``H⁻`` partition
 is two ``any`` reductions and boolean-mask row copies.
 
-**Small mode** (row count ≤ ``SMALL_CUTOFF``) — numpy kernels cost ~µs
-each regardless of size, so tiny lists fall back to the reference
-representation (``{v: [good, minus]}`` big-int dicts, converted once at
-partition time) where CPython's C-level big-int ops win.  The dict
-operations are *delegated to* :mod:`~repro.core.backends.python_int`'s
-``*_entries`` functions, not re-implemented, so the two backends cannot
-drift apart in this regime.
+:class:`NumpyMatchingList` (at most ``SMALL_CUTOFF`` rows) — numpy
+kernels cost ~µs each regardless of size, so small lists are the
+reference's lists: a
+:class:`~repro.core.backends.python_int.PythonMatchingList` subclass
+(``{v: [good, minus]}`` big-int dicts, converted once when a dense
+partition demotes a child), where CPython's C-level big-int ops win.
+It inherits every operation, so the two backends cannot drift apart in
+this regime, and adds one:
 
 **Trivial chains** — a single-row list ``{v: mask}`` cannot trim or
 exhaust anything (both operations only touch *other* rows), so its
@@ -52,24 +54,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.backends.base import MatchingList, SolverBackend
-from repro.core.backends.python_int import (
-    exhaust_entries,
-    partition_entries,
-    pick_candidate_entries,
-    pick_node_entries,
-    settle_entries,
-    trim_entries,
-)
+from repro.core.backends.bitops import iter_set_bits
+from repro.core.backends.python_int import PythonMatchingList, _PythonContext
 
 __all__ = [
     "BlockBackendBase",
+    "BlockMatchingList",
     "NumpyMatchingList",
     "SMALL_CUTOFF",
 ]
 
-#: Lists at or below this many rows use the big-int dict representation;
-#: above it, uint64 block matrices.  Around this size the fixed cost of
-#: a numpy kernel launch crosses the per-row cost of a C big-int op.
+#: Lists at or below this many rows are reference lists
+#: (:class:`NumpyMatchingList`); above it, uint64 block matrices.  Around
+#: this size the fixed cost of a numpy kernel launch crosses the per-row
+#: cost of a C big-int op.
 SMALL_CUTOFF = 48
 
 _U1 = np.uint64(1)
@@ -104,8 +102,8 @@ else:  # pragma: no cover - NumPy < 2.0 fallback
 
 class _NumpyRows:
     """Closure rows, both native ``(n, W)`` uint64 matrices *and* the
-    original big-int lists (shared by reference — small mode trims with
-    ints, dense mode with matrix rows)."""
+    original big-int lists (shared by reference — small lists trim with
+    ints, dense lists with matrix rows)."""
 
     __slots__ = ("from_rows", "to_rows", "from_ints", "to_ints", "num_bits", "words")
 
@@ -118,28 +116,35 @@ class _NumpyRows:
         self.words = words
 
 
+class _SmallContext(_PythonContext):
+    """The reference list's context over the big-int closure rows, plus
+    lazy per-node preference ranks for the single-row closed form."""
+
+    __slots__ = ("pref", "_pref_rank")
+
+    def __init__(self, rows: _NumpyRows, prev, post, pref) -> None:
+        super().__init__(rows.from_ints, rows.to_ints, prev, post)
+        self.pref = pref
+        self._pref_rank: list[dict[int, int] | None] = [None] * len(pref)
+
+    def pref_rank(self, v: int) -> dict[int, int]:
+        """Candidate → position in ``v``'s preference order."""
+        rank = self._pref_rank[v]
+        if rank is None:
+            rank = {u: i for i, u in enumerate(self.pref[v])}
+            self._pref_rank[v] = rank
+        return rank
+
+
 class _NumpyContext:
     """Engine context: native closure rows + pattern-side index tables."""
 
-    __slots__ = (
-        "rows",
-        "num_pattern",
-        "prev",
-        "post",
-        "pref",
-        "prev_idx",
-        "post_idx",
-        "pref_idx",
-        "_pref_rank",
-    )
+    __slots__ = ("rows", "num_pattern", "prev_idx", "post_idx", "pref_idx", "small")
 
     def __init__(self, rows: _NumpyRows, num_pattern: int, prev, post, pref) -> None:
         self.rows = rows
         self.num_pattern = num_pattern
-        self.prev = prev
-        self.post = post
-        self.pref = pref
-        # Dense-mode trim tables: unique neighbor indices with the owner
+        # Dense trim tables: unique neighbor indices with the owner
         # itself removed (the ``neighbor != v`` guard, hoisted out of the
         # hot loop).
         self.prev_idx = [
@@ -152,15 +157,8 @@ class _NumpyContext:
         ]
         #: Preference orders as uint64 index arrays (dense similarity pick).
         self.pref_idx = [np.array(row, dtype=np.uint64) for row in pref]
-        #: Lazy per-node candidate→preference-rank maps (trivial chains).
-        self._pref_rank: list[dict[int, int] | None] = [None] * len(pref)
-
-    def pref_rank(self, v: int) -> dict[int, int]:
-        rank = self._pref_rank[v]
-        if rank is None:
-            rank = {u: i for i, u in enumerate(self.pref[v])}
-            self._pref_rank[v] = rank
-        return rank
+        #: What every list of at most ``SMALL_CUTOFF`` rows runs on.
+        self.small = _SmallContext(rows, prev, post, pref)
 
 
 def _masks_to_matrix(masks: Sequence[int], words: int):
@@ -176,56 +174,23 @@ def _row_to_int(row) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def _mask_bits(mask: int) -> list[int]:
-    """Set-bit indices of ``mask``, ascending."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
+class NumpyMatchingList(PythonMatchingList):
+    """A small list: the reference list plus the single-row closed form.
 
-
-class NumpyMatchingList(MatchingList):
-    """``H`` in adaptive representation: block matrices or a big-int dict.
-
-    Exactly one of ``entries`` (small mode) and ``keys``/``good``/``minus``
-    (dense mode) is populated; partitioning demotes children that fall to
-    ``SMALL_CUTOFF`` rows or fewer, and lists never grow, so a demoted
-    list stays small for the rest of its subtree.
+    Every operation but :meth:`solve_trivial` is the reference's own.
+    Its partitions build this class again, and lists never grow, so a
+    list stays small, with the closed form, for its whole subtree.
     """
 
-    __slots__ = ("ctx", "entries", "keys", "good", "minus", "_pos")
-
-    def __init__(self, ctx: _NumpyContext, entries=None, keys=None, good=None, minus=None):
-        self.ctx = ctx
-        self.entries = entries
-        self.keys = keys
-        self.good = good
-        self.minus = minus
-        if entries is None:
-            # Dense position table: _pos[v] = row of v, -1 when absent.
-            # The pattern side is small, so one vectorized rebuild per
-            # frame beats a searchsorted on every settle/trim.
-            pos = np.full(ctx.num_pattern, -1, dtype=np.int64)
-            if keys.size:
-                pos[keys] = np.arange(keys.size, dtype=np.int64)
-            self._pos = pos
-        else:
-            self._pos = None
-
-    # ------------------------------------------------------------------
-    def is_empty(self) -> bool:
-        if self.entries is not None:
-            return not self.entries
-        return self.keys.size == 0
+    __slots__ = ()
+    ctx: _SmallContext
 
     def solve_trivial(self, by_similarity: bool):
         entries = self.entries
-        if entries is None or len(entries) != 1:
+        if len(entries) != 1:
             return None
         ((v, masks),) = entries.items()
-        bits = _mask_bits(masks[0])
+        bits = list(iter_set_bits(masks[0]))
         if by_similarity:
             # Stepwise pick order: preferred candidates in preference
             # order, then the un-ranked rest ascending — re-picking per
@@ -237,15 +202,39 @@ class NumpyMatchingList(MatchingList):
         iset = [(v, u) for u in reversed(bits)]
         return sigma, iset
 
+
+class BlockMatchingList(MatchingList):
+    """A dense list: more than ``SMALL_CUTOFF`` rows as block matrices.
+
+    ``keys`` holds the present pattern indices, ascending; ``good`` and
+    ``minus`` are ``(k, W)`` uint64 matrices whose row ``i`` belongs to
+    ``keys[i]``.  Partitioning demotes a child of at most
+    ``SMALL_CUTOFF`` rows to a :class:`NumpyMatchingList`.
+    """
+
+    __slots__ = ("ctx", "keys", "good", "minus", "_pos")
+
+    def __init__(self, ctx: _NumpyContext, keys, good) -> None:
+        self.ctx = ctx
+        self.keys = keys
+        self.good = good
+        self.minus = np.zeros_like(good)
+        # Position table: _pos[v] = row of v, -1 when absent.  The
+        # pattern side is small, so one vectorized rebuild per frame
+        # beats a searchsorted on every settle/trim.
+        pos = np.full(ctx.num_pattern, -1, dtype=np.int64)
+        pos[keys] = np.arange(keys.size, dtype=np.int64)
+        self._pos = pos
+
+    # ------------------------------------------------------------------
+    def is_empty(self) -> bool:
+        return self.keys.size == 0
+
     def pick_node(self) -> int:
-        if self.entries is not None:
-            return pick_node_entries(self.entries)
         counts = _popcount_rows(self.good)
         return int(self.keys[int(np.argmax(counts))])  # first max == smallest key
 
     def pick_candidate(self, v: int, pref: Sequence[int] | None) -> int:
-        if self.entries is not None:
-            return pick_candidate_entries(self.entries, v, pref)
         row = self.good[self._pos[v]]
         if pref is not None and len(pref):
             order = self.ctx.pref_idx[v]
@@ -259,9 +248,6 @@ class NumpyMatchingList(MatchingList):
         return (w << 6) + ((word & -word).bit_length() - 1)
 
     def settle(self, v: int, u: int) -> None:
-        if self.entries is not None:
-            settle_entries(self.entries, v, u)
-            return
         i = self._pos[v]
         w, b = u >> 6, u & 63
         self.minus[i, :] = self.good[i, :]
@@ -269,9 +255,6 @@ class NumpyMatchingList(MatchingList):
         self.good[i, :] = 0
 
     def exhaust(self, u: int, v: int) -> None:
-        if self.entries is not None:
-            exhaust_entries(self.entries, u, v)
-            return
         # settle() already zeroed v's good row, so the column test never
         # selects it; no explicit skip needed.
         w, b = u >> 6, u & 63
@@ -283,10 +266,6 @@ class NumpyMatchingList(MatchingList):
 
     def trim(self, v: int, u: int) -> None:
         ctx = self.ctx
-        if self.entries is not None:
-            trim_entries(self.entries, ctx.prev[v], v, ctx.rows.to_ints[u])
-            trim_entries(self.entries, ctx.post[v], v, ctx.rows.from_ints[u])
-            return
         pos = self._pos
         for neighbors, mask_row in (
             (ctx.prev_idx[v], ctx.rows.to_rows[u]),
@@ -303,50 +282,32 @@ class NumpyMatchingList(MatchingList):
             self.good[present] = selected & mask_row
             self.minus[present] |= bad
 
-    def partition(self) -> tuple["NumpyMatchingList", "NumpyMatchingList"]:
+    def partition(self) -> tuple[MatchingList, MatchingList]:
         ctx = self.ctx
-        if self.entries is not None:
-            h_plus, h_minus = partition_entries(self.entries)
-            return (
-                NumpyMatchingList(ctx, entries=h_plus),
-                NumpyMatchingList(ctx, entries=h_minus),
-            )
-        children = []
+        children: list[MatchingList] = []
         for matrix in (self.good, self.minus):
             alive = matrix.any(axis=1)
-            count = int(alive.sum())
             keys = self.keys[alive]
             rows = matrix[alive]
-            if count <= SMALL_CUTOFF:
-                # Demote: below the cutoff the dict representation wins.
+            if keys.size <= SMALL_CUTOFF:
+                # Demote: below the cutoff the reference list wins.
                 entries = {
-                    int(keys[i]): [_row_to_int(rows[i]), 0] for i in range(count)
+                    int(v): [_row_to_int(row), 0] for v, row in zip(keys, rows)
                 }
-                children.append(NumpyMatchingList(ctx, entries=entries))
+                children.append(NumpyMatchingList(entries, ctx.small))
             else:
-                children.append(
-                    NumpyMatchingList(
-                        ctx, keys=keys, good=rows, minus=np.zeros_like(rows)
-                    )
-                )
+                children.append(BlockMatchingList(ctx, keys, rows))
         return children[0], children[1]
-
-    def to_masks(self) -> dict[int, tuple[int, int]]:
-        if self.entries is not None:
-            return {v: (masks[0], masks[1]) for v, masks in self.entries.items()}
-        return {
-            int(v): (_row_to_int(self.good[i]), _row_to_int(self.minus[i]))
-            for i, v in enumerate(self.keys)
-        }
 
 
 class BlockBackendBase(SolverBackend):
     """The uint64-block kernel set behind the ``numpy`` backend.
 
-    Everything the engine touches — adaptive matching lists, dense
-    trims, popcount picks, the collapsed trivial chains — lives here and
-    operates through single-row indexing of ``context.rows.from_rows`` /
-    ``to_rows``, so the subclass
+    Everything the engine touches — dense and small matching lists,
+    dense trims, popcount picks, the collapsed trivial chains — lives
+    here and operates through single-row indexing of
+    ``context.rows.from_rows`` / ``to_rows`` (``from_ints`` /
+    ``to_ints`` for small lists), so the subclass
     (:class:`~repro.core.backends.mmap_block.MmapBlockBackend`) chooses
     only *where the row matrices live*: private copies packed from the
     big-int masks (:meth:`build_rows`), or views over store-file pages.
@@ -422,14 +383,12 @@ class BlockBackendBase(SolverBackend):
 
     def matching_list(
         self, top_good: dict[int, int], context: _NumpyContext
-    ) -> NumpyMatchingList:
+    ) -> MatchingList:
         live = sorted((v, mask) for v, mask in top_good.items() if mask)
         if len(live) <= SMALL_CUTOFF:
             return NumpyMatchingList(
-                context, entries={v: [mask, 0] for v, mask in live}
+                {v: [mask, 0] for v, mask in live}, context.small
             )
         keys = np.fromiter((v for v, _ in live), dtype=np.int64, count=len(live))
         good = _masks_to_matrix([mask for _, mask in live], context.rows.words)
-        return NumpyMatchingList(
-            context, keys=keys, good=good, minus=np.zeros_like(good)
-        )
+        return BlockMatchingList(context, keys, good)

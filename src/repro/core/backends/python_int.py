@@ -7,17 +7,19 @@ operation is the exact expression the pre-backend engine inlined.  It is
 the semantic reference every other backend must match bit-for-bit, and
 the default (``REPRO_BACKEND=python``).
 
-The dict operations live as module-level ``*_entries`` functions because
-they are the *shared semantics*, not just this backend's: the numpy
-backend delegates to them for its small-list mode, so a future fix here
-fixes every backend's dict regime at once (bit-identity by construction,
-not by parallel maintenance).
+Small lists are the reference's lists in every backend: the numpy
+backend's :class:`~repro.core.backends.numpy_block.NumpyMatchingList`
+subclasses :class:`PythonMatchingList` and adds only the single-row
+closed form, so a fix here fixes both backends' small lists at once
+(bit-identity by construction, not by parallel maintenance).  The
+reference itself keeps the stepwise recursion, with no closed form.
 
 Big ints are a surprisingly strong baseline — CPython's ``int.bit_count``
 and bitwise ops run in C over 30-bit limbs — but every engine loop over
 the matching list (the popcount scan of line 2, the capacity sweep, the
 ``H⁺``/``H⁻`` partition) steps through a Python-level dict.  The numpy
-backend exists to collapse those per-row loops into whole-matrix kernels.
+backend collapses those per-row loops into whole-matrix kernels once a
+list is wide enough to pay for them.
 """
 
 from __future__ import annotations
@@ -26,82 +28,9 @@ from typing import Sequence
 
 from repro.core.backends.base import MatchingList, SolverBackend
 
-__all__ = [
-    "PythonIntBackend",
-    "PythonMatchingList",
-    "pick_node_entries",
-    "pick_candidate_entries",
-    "settle_entries",
-    "exhaust_entries",
-    "trim_entries",
-    "partition_entries",
-]
+__all__ = ["PythonIntBackend", "PythonMatchingList"]
 
 Entries = dict[int, list[int]]
-
-
-# ----------------------------------------------------------------------
-# The reference dict-of-big-ints operations (shared across backends)
-# ----------------------------------------------------------------------
-def pick_node_entries(entries: Entries) -> int:
-    """Maximal good list, deterministic tie-break on the smaller index."""
-    v = -1
-    best_count = 0
-    for cand_v, masks in entries.items():
-        count = masks[0].bit_count()
-        if count > best_count or (count == best_count and cand_v < v):
-            v, best_count = cand_v, count
-    return v
-
-
-def pick_candidate_entries(entries: Entries, v: int, pref: Sequence[int] | None) -> int:
-    good_v = entries[v][0]
-    if pref is not None:
-        for cand_u in pref:
-            if good_v >> cand_u & 1:
-                return cand_u
-    # Arbitrary pick, or a good bit with no similarity row — callers of
-    # comp_max_card_engine may seed candidates beyond the workspace's
-    # mat ≥ ξ pairs (restricted or partitioned groups), so the
-    # preference scan can come up empty on a nonempty mask.
-    return (good_v & -good_v).bit_length() - 1  # lowest set bit
-
-
-def settle_entries(entries: Entries, v: int, u: int) -> None:
-    masks = entries[v]
-    good_v = masks[0]
-    masks[0] = 0
-    masks[1] = good_v & ~(1 << u)
-
-
-def exhaust_entries(entries: Entries, u: int, v: int) -> None:
-    u_bit = 1 << u
-    for other_v, masks in entries.items():
-        if other_v != v and masks[0] >> u & 1:
-            masks[0] &= ~u_bit
-            masks[1] |= u_bit
-
-
-def trim_entries(entries: Entries, neighbors: Sequence[int], v: int, mask: int) -> None:
-    """One trimMatching side: AND ``v``'s present neighbors with ``mask``."""
-    for neighbor in neighbors:
-        masks = entries.get(neighbor)
-        if masks is not None and neighbor != v:
-            bad = masks[0] & ~mask
-            if bad:
-                masks[0] &= mask
-                masks[1] |= bad
-
-
-def partition_entries(entries: Entries) -> tuple[Entries, Entries]:
-    h_plus: Entries = {}
-    h_minus: Entries = {}
-    for node, (good, minus) in entries.items():
-        if good:
-            h_plus[node] = [good, 0]
-        if minus:
-            h_minus[node] = [minus, 0]
-    return h_plus, h_minus
 
 
 class _PythonContext:
@@ -135,31 +64,68 @@ class PythonMatchingList(MatchingList):
         return not self.entries
 
     def pick_node(self) -> int:
-        return pick_node_entries(self.entries)
+        """Maximal good list, deterministic tie-break on the smaller index."""
+        v = -1
+        best_count = 0
+        for cand_v, masks in self.entries.items():
+            count = masks[0].bit_count()
+            if count > best_count or (count == best_count and cand_v < v):
+                v, best_count = cand_v, count
+        return v
 
     def pick_candidate(self, v: int, pref: Sequence[int] | None) -> int:
-        return pick_candidate_entries(self.entries, v, pref)
+        good_v = self.entries[v][0]
+        if pref is not None:
+            for cand_u in pref:
+                if good_v >> cand_u & 1:
+                    return cand_u
+        # Arbitrary pick, or a good bit with no similarity row — callers of
+        # comp_max_card_engine may seed candidates beyond the workspace's
+        # mat ≥ ξ pairs (restricted or partitioned groups), so the
+        # preference scan can come up empty on a nonempty mask.
+        return (good_v & -good_v).bit_length() - 1  # lowest set bit
 
     def settle(self, v: int, u: int) -> None:
-        settle_entries(self.entries, v, u)
+        masks = self.entries[v]
+        good_v = masks[0]
+        masks[0] = 0
+        masks[1] = good_v & ~(1 << u)
 
     def exhaust(self, u: int, v: int) -> None:
-        exhaust_entries(self.entries, u, v)
+        u_bit = 1 << u
+        for other_v, masks in self.entries.items():
+            if other_v != v and masks[0] >> u & 1:
+                masks[0] &= ~u_bit
+                masks[1] |= u_bit
 
     def trim(self, v: int, u: int) -> None:
         ctx = self.ctx
-        trim_entries(self.entries, ctx.prev[v], v, ctx.to_rows[u])
-        trim_entries(self.entries, ctx.post[v], v, ctx.from_rows[u])
+        entries = self.entries
+        # Parents of v keep what reaches u, then children what u reaches.
+        for neighbors, mask in (
+            (ctx.prev[v], ctx.to_rows[u]),
+            (ctx.post[v], ctx.from_rows[u]),
+        ):
+            for neighbor in neighbors:
+                masks = entries.get(neighbor)
+                if masks is not None and neighbor != v:
+                    bad = masks[0] & ~mask
+                    if bad:
+                        masks[0] &= mask
+                        masks[1] |= bad
 
     def partition(self) -> tuple["PythonMatchingList", "PythonMatchingList"]:
-        h_plus, h_minus = partition_entries(self.entries)
-        return (
-            PythonMatchingList(h_plus, self.ctx),
-            PythonMatchingList(h_minus, self.ctx),
-        )
-
-    def to_masks(self) -> dict[int, tuple[int, int]]:
-        return {v: (masks[0], masks[1]) for v, masks in self.entries.items()}
+        h_plus: Entries = {}
+        h_minus: Entries = {}
+        for node, (good, minus) in self.entries.items():
+            if good:
+                h_plus[node] = [good, 0]
+            if minus:
+                h_minus[node] = [minus, 0]
+        # type(self): a subclass's children keep its methods (the numpy
+        # backend's closed form) all the way down the subtree.
+        cls = type(self)
+        return cls(h_plus, self.ctx), cls(h_minus, self.ctx)
 
 
 class PythonIntBackend(SolverBackend):

@@ -78,8 +78,9 @@ round-trip.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Hashable, Iterator, NamedTuple
+from typing import Any, Hashable, NamedTuple
 
+from repro.core.backends.bitops import iter_set_bits
 from repro.graph.closure import component_member_masks, decremental_reach_rows
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation
@@ -392,14 +393,6 @@ class DeltaLog:
 # ----------------------------------------------------------------------
 # Bit helpers
 # ----------------------------------------------------------------------
-def _iter_bits(mask: int) -> Iterator[int]:
-    """Set-bit positions of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _delete_bits(mask: int, positions: list[int]) -> int:
     """``mask`` with the given bit positions (sorted ascending) deleted —
     higher bits shift down to fill the holes (node-removal remapping)."""
@@ -562,7 +555,7 @@ def _evolve_decremental(cls, prepared, delta, graph2, cutoff, fingerprint):
         forward_adj,
         backward_adj,
         prepared.from_mask,
-        set(_iter_bits(dirty_forward_bits)),
+        set(iter_set_bits(dirty_forward_bits)),
         tails,
         acyclic=not dirty_forward_bits & prepared.cycle_mask,
     )
@@ -570,7 +563,7 @@ def _evolve_decremental(cls, prepared, delta, graph2, cutoff, fingerprint):
         backward_adj,
         forward_adj,
         prepared.to_mask,
-        set(_iter_bits(dirty_backward_bits)),
+        set(iter_set_bits(dirty_backward_bits)),
         heads,
         acyclic=not dirty_backward_bits & prepared.cycle_mask,
     )
@@ -633,14 +626,14 @@ def _evolve_additive(cls, prepared, delta, graph2, fingerprint):
         # (and b); every node b reaches gains a's ancestors (and a).
         descendants = from_mask[ib] | (1 << ib)
         ancestors = to_mask[ia] | (1 << ia)
-        for u in _iter_bits(ancestors):
+        for u in iter_set_bits(ancestors):
             from_mask[u] |= descendants
-        for w in _iter_bits(descendants):
+        for w in iter_set_bits(descendants):
             to_mask[w] |= ancestors
         if descendants >> ia & 1:
             # b already reached a: the insert closes a cycle, so the
             # diagonal bit of every updated forward row may flip on.
-            for u in _iter_bits(ancestors):
+            for u in iter_set_bits(ancestors):
                 if from_mask[u] >> u & 1:
                     cycle_mask |= 1 << u
         dirty_forward |= ancestors
@@ -716,11 +709,11 @@ def _evolve_scc_delta(cls, prepared, delta, graph2, cutoff, fingerprint):
         for i, node in enumerate(old_nodes)
     ]
     dirty_forward = {
-        new_position[i] for i in _iter_bits(dirty_forward_old)
+        new_position[i] for i in iter_set_bits(dirty_forward_old)
         if new_position[i] is not None
     }
     dirty_backward = {
-        new_position[i] for i in _iter_bits(dirty_backward_old)
+        new_position[i] for i in iter_set_bits(dirty_backward_old)
         if new_position[i] is not None
     }
     appended_positions = range(len(kept), n)
@@ -821,7 +814,7 @@ def _carry_backend_rows(prepared, evolved, old_n, n, dirty_bits) -> None:
         return
     from repro.core.backends import get_backend
 
-    dirty = list(_iter_bits(dirty_bits))
+    dirty = list(iter_set_bits(dirty_bits))
     for name, rows in prepared._backend_rows.items():
         refreshed = get_backend(name).evolve_rows(
             rows, evolved.from_mask, evolved.to_mask, n, dirty

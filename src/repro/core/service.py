@@ -289,9 +289,9 @@ class PreparedGraphCache:
 
     Mutation no longer means a cold rebuild, though: the cache attaches
     a :class:`~repro.core.incremental.DeltaLog` to every graph it
-    prepares, and a miss whose graph object carries a log (or whose
-    caller hands one in) with a still-resident base entry is served by
-    **evolving** that base through the recorded delta
+    fingerprints itself, and a miss whose graph object carries a log
+    (or whose caller hands one in) with a still-resident base entry is
+    served by **evolving** that base through the recorded delta
     (:meth:`~repro.core.prepared.PreparedDataGraph.apply_delta` —
     bit-identical to a cold prepare, counted in ``delta_hits`` /
     ``delta_nodes_recomputed``).
@@ -379,11 +379,19 @@ class PreparedGraphCache:
         ``graph2``'s content (the sharded router passes each changed
         shard its :meth:`~repro.core.sharding.ShardPlan.shard_delta`);
         the cache reads it and never modifies it, and an evolution
-        through it also counts in ``shard_evolves``.  Without one, the
-        delta tier uses the log this cache attached to ``graph2``.
+        through it also counts in ``shard_evolves``.
+
+        The cache follows only graphs it fingerprints itself: when the
+        caller passes neither ``fingerprint`` nor ``delta``, the delta
+        tier reads the log this cache attached to ``graph2``, and every
+        load or build (re)attaches that log at the new fingerprint, so
+        the graph's next in-place mutation evolves the index.  A hinted
+        call names a view someone else keeps current (a shard plan's
+        view, never mutated), so it attaches and searches nothing.
         """
+        tracked = fingerprint is None and delta is None
         key = graph_fingerprint(graph2) if fingerprint is None else fingerprint
-        log = DeltaLog.find(graph2, self) if delta is None else delta
+        log = DeltaLog.find(graph2, self) if tracked else delta
         # Lock order: the cache lock (LRU structure) is always taken
         # before the stats lock, never the other way around.
         with self._lock:
@@ -418,6 +426,8 @@ class PreparedGraphCache:
             return prepared
         try:
             prepared = self._load_or_build(key, graph2, log, base, delta is not None)
+            if tracked:
+                DeltaLog.track(graph2, self, key)
         except BaseException as exc:
             with self._lock:
                 del self._building[key]
@@ -452,8 +462,7 @@ class PreparedGraphCache:
         store file (every backend — no payload decode, counted in
         ``disk_hits`` and ``mapped_bytes``), then a cold build.  Evolved
         and built indexes are both persisted best-effort, so the store
-        always holds the graph's *current* fingerprint.  Whatever served,
-        this cache's log on ``graph2`` then restarts from ``key``.
+        always holds the graph's *current* fingerprint.
         """
         prepared = None
         if base is not None:
@@ -469,7 +478,6 @@ class PreparedGraphCache:
                 self.stats.prepares += 1
                 self.stats.prepare_seconds += prepared.prepare_seconds
             self._persist(prepared)
-        self._track(graph2, key)
         return prepared
 
     def _open_mapped(
@@ -572,15 +580,6 @@ class PreparedGraphCache:
                 if chained is not None:
                     self.stats.chain_writes += 1
                     self.stats.chain_bytes_saved += chained[1]["bytes_saved"]
-
-    def _track(self, graph2: DiGraph, key: str) -> None:
-        """Attach (or rebase) this cache's delta log on ``graph2``.
-
-        From here on the graph's mutators record into the log, so the
-        *next* fingerprint miss for this graph object can evolve the
-        index we just produced instead of rebuilding it.
-        """
-        DeltaLog.track(graph2, self, key)
 
 
 class MatchSession:
@@ -741,11 +740,11 @@ class MatchingService:
     def update_graph(self, graph2: DiGraph) -> PreparedDataGraph:
         """Bring the cached index of a *mutated* ``graph2`` up to date.
 
-        Every graph this service prepares gets a
-        :class:`~repro.core.incremental.DeltaLog` attached, so when the
-        graph mutates in place the next request **evolves** the cached
-        index — recomputing only the closure rows the delta touched —
-        instead of rebuilding it from scratch (counted in
+        Every graph this service prepares without a fingerprint hint
+        gets a :class:`~repro.core.incremental.DeltaLog` attached, so
+        when the graph mutates in place the next request **evolves** the
+        cached index — recomputing only the closure rows the delta
+        touched — instead of rebuilding it from scratch (counted in
         ``stats.delta_hits`` / ``delta_nodes_recomputed``; a too-wide
         delta degrades to one honest ``prepares``).  That happens lazily
         on the next :meth:`match` anyway; calling ``update_graph`` right

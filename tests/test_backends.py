@@ -23,6 +23,7 @@ from repro.core.backends import (
     SolverBackend,
     get_backend,
 )
+from repro.core.backends.numpy_block import SMALL_CUTOFF, BlockMatchingList
 from repro.core.bounded import comp_max_card_bounded
 from repro.core.engine import comp_max_card_engine, greedy_match
 from repro.core.optimize import comp_max_card_compressed, comp_max_card_partitioned
@@ -193,23 +194,40 @@ class TestEngineEquivalence:
         )
 
     def test_wide_masks_cross_word_boundaries(self):
-        # >64 and >128 data nodes force multi-word uint64 rows.
+        # >64 and >128 data nodes force multi-word uint64 rows.  The
+        # second pattern has more than SMALL_CUTOFF candidate-bearing
+        # nodes, so the numpy side starts on the dense block kernels and
+        # demotes their partitions into small lists on the way down.
         rng = random.Random(11)
-        graph2 = random_digraph(150, 450, rng, name="wide")
-        graph1 = graph2.subgraph(rng.sample(list(graph2.nodes()), 12), name="p")
-        mat = SimilarityMatrix()
-        nodes2 = list(graph2.nodes())
-        for v in graph1.nodes():
-            for u in rng.sample(nodes2, 40):
-                mat.set(v, u, round(rng.uniform(0.4, 1.0), 3))
-        prepared = prepare_data_graph(graph2)
-        results = {}
-        for name in ("python", "numpy"):
-            ws = MatchingWorkspace(
-                graph1, graph2, mat, 0.4, prepared=prepared, backend=name
+        for n2, n1 in ((150, 12), (300, 70)):
+            graph2 = random_digraph(n2, 3 * n2, rng, name="wide")
+            graph1 = graph2.subgraph(rng.sample(list(graph2.nodes()), n1), name="p")
+            mat = SimilarityMatrix()
+            nodes2 = list(graph2.nodes())
+            for v in graph1.nodes():
+                for u in rng.sample(nodes2, 40):
+                    mat.set(v, u, round(rng.uniform(0.4, 1.0), 3))
+            prepared = prepare_data_graph(graph2)
+            workspaces = {
+                name: MatchingWorkspace(
+                    graph1, graph2, mat, 0.4, prepared=prepared, backend=name
+                )
+                for name in ("python", "numpy")
+            }
+            ws_np = workspaces["numpy"]
+            top = ws_np.backend.matching_list(
+                ws_np.initial_good(), ws_np.engine_context(ws_np.backend)
             )
-            results[name] = comp_max_card_engine(ws, ws.initial_good())[0]
-        assert results["python"] == results["numpy"]
+            assert isinstance(top, BlockMatchingList) == (n1 > SMALL_CUTOFF)
+            for pick in ("similarity", "arbitrary"):
+                for injective in (False, True):
+                    results = {
+                        name: comp_max_card_engine(
+                            ws, ws.initial_good(), injective=injective, pick=pick
+                        )[0]
+                        for name, ws in workspaces.items()
+                    }
+                    assert results["python"] == results["numpy"], (n1, pick, injective)
 
 
 # ----------------------------------------------------------------------

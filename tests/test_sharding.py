@@ -1046,6 +1046,44 @@ class TestLocalPlanEvolution:
             plan.shard_graph(owner),
         )
 
+    def test_served_views_carry_no_delta_log(self):
+        """Workers look views up by the plan's fingerprint, so they
+        attach no delta log to a view: after an update and a second
+        round of requests, the corpus carries the router's log and no
+        served view carries one."""
+        graph = halves_corpus(sites=4, size=20)
+        source = LabelEqualitySimilarity()
+        router = ShardedMatchingService(2)
+        plan = router.plan_for(graph)
+        far = next(node for node in graph if plan.shard_of[node] != plan.shard_of[0])
+        single = half_patterns(graph, sites=4, size=20)[0]
+        spill = DiGraph(name="spill")  # one component, candidates on both shards
+        spill.add_node("a", label=graph.label(0))
+        spill.add_node("b", label=graph.label(far))
+        spill.add_edge("a", "b")
+
+        def serve():
+            for pattern in (single, spill):
+                report = router.match_sharded(pattern, graph, source, self.XI)
+                reference = comp_max_card_partitioned(
+                    pattern, graph, source(pattern, graph), self.XI
+                )
+                assert_reports_identical(report, reference)
+
+        serve()
+        before = router.stats_snapshot()
+        graph.add_edge(0, 6)
+        plan = router.update_graph(graph)
+        serve()
+        after = router.stats_snapshot()
+        assert after["spill_components"] == before["spill_components"] + 1
+        assert after["aggregate"]["shard_evolves"] > before["aggregate"]["shard_evolves"]
+        views = dict(plan._graphs)
+        assert {plan.shard_of[0], frozenset({0, 1})} <= set(views)  # both served
+        for key, view in views.items():
+            assert view._delta_logs == [], key
+        assert graph._delta_logs == [DeltaLog.find(graph, router)]
+
     def test_label_views_carry_over_unless_relabeled(self):
         graph = halves_corpus(sites=4, size=20)
         router = ShardedMatchingService(2)
